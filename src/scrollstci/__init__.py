@@ -15,10 +15,8 @@ from .poly import (
     ScrollstciError,
     TermOrder,
     block_order,
-    canonicalize,
     compare_monomials,
     linear_span_dim,
-    multiply,
     parse,
     substitute,
 )

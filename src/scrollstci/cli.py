@@ -370,8 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="synthesize certified generators")
     p.add_argument("spec")
-    p.add_argument("--verify", action="store_true", default=True,
-                   help="run the oracle check (default)")
     p.add_argument("--no-verify", action="store_true",
                    help="skip the oracle check")
     p.set_defaults(handler=_cmd_synth)
@@ -408,6 +406,9 @@ def run(argv) -> CommandResult:
         return CommandResult("error", {"message": str(exc)})
     except (KeyError, ValueError, TypeError) as exc:
         return CommandResult("error", {"message": f"malformed input: {exc!r}"})
+    except Exception as exc:  # exit 1 is reserved for well-formed negative verdicts
+        return CommandResult("error", {"message": f"internal error: {exc}"},
+                             [f"unhandled {type(exc).__name__}"])
 
 
 def main(argv=None) -> int:

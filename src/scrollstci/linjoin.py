@@ -39,7 +39,7 @@ from .poly import (
     is_linear_form,
     linear_span_dim,
 )
-from .scroll import ScrollMatrix, classify_modulo, scroll_ara_facts
+from .scroll import ScrollBlock, ScrollMatrix, classify_modulo, scroll_ara_facts
 
 
 class SpecValidationError(ScrollstciError):
@@ -203,7 +203,6 @@ class ValidationReport:
     conditions: dict
     failures: list[ValidationFailure]
     ara_hypotheses: AraHypotheses
-    warnings: list[str]
 
     def to_json(self):
         return {
@@ -211,7 +210,6 @@ class ValidationReport:
             "conditions": dict(self.conditions),
             "failures": [f.to_json() for f in self.failures],
             "ara_hypotheses": self.ara_hypotheses.to_json(),
-            "warnings": list(self.warnings),
         }
 
 
@@ -219,8 +217,9 @@ def _scroll_has_minors(scroll: ScrollMatrix | None) -> bool:
     return scroll is not None and scroll.ncols >= 2
 
 
-def _row_in_span(scroll: ScrollMatrix, forms: Sequence[Polynomial]) -> int | None:
-    """1-based index of a full matrix row inside span(forms), preferring row 1."""
+def _row_in_span(scroll: ScrollMatrix | ScrollBlock,
+                 forms: Sequence[Polynomial]) -> int | None:
+    """1-based index of a full row inside span(forms), preferring row 1."""
     span = LinearSpan(scroll.ring, forms)
     for which in (1, 2):
         if span.contains_all(scroll.row(which)):
@@ -231,7 +230,6 @@ def _row_in_span(scroll: ScrollMatrix, forms: Sequence[Polynomial]) -> int | Non
 def validate(spec: TwoLinearSpec) -> ValidationReport:
     """Check the linearly-joined conditions; failures are reported, not thrown."""
     failures: list[ValidationFailure] = []
-    warnings: list[str] = []
     conditions: dict = {}
 
     def fail(condition, indices, witness, message):
@@ -343,7 +341,17 @@ def validate(spec: TwoLinearSpec) -> ValidationReport:
 
     ok = not failures
     return ValidationReport(ok=ok, conditions=conditions, failures=failures,
-                            ara_hypotheses=hyp, warnings=warnings)
+                            ara_hypotheses=hyp)
+
+
+def require_valid(spec: TwoLinearSpec,
+                  error: type[ScrollstciError] = SpecValidationError) -> ValidationReport:
+    """The report of :func:`validate`; raises ``error`` listing the failures if any."""
+    report = validate(spec)
+    if not report.ok:
+        msgs = "; ".join(f.message for f in report.failures)
+        raise error(f"spec fails validation: {msgs}")
+    return report
 
 
 def component_ideal(spec: TwoLinearSpec, i: int) -> IdealHandle:
@@ -381,10 +389,7 @@ def full_ideal(spec: TwoLinearSpec, check: bool = True) -> IdealHandle:
     """
     from .scroll import minors_2x2
 
-    report = validate(spec)
-    if not report.ok:
-        msgs = "; ".join(f.message for f in report.failures)
-        raise SpecValidationError(f"spec fails validation: {msgs}")
+    require_valid(spec)
     gens: list[Polynomial] = []
     for i in range(1, spec.l + 1):
         scroll = spec.component(i).scroll
@@ -418,35 +423,19 @@ class CohomDim(NamedTuple):
     note: str
 
 
-_STCI_NOTES = {
-    "null": "zero ideal",
-    "no_minors": "no minors (at most one column)",
-    "single_block": "single non-generic block: complete intersection up to radical",
-    "principal": "two columns: principal minor ideal",
-}
-
-
-def _stci_route(scroll: ScrollMatrix | None) -> str | None:
-    if scroll is None:
-        return "null"
-    if scroll.ncols < 2:
-        return "no_minors"
-    if len(scroll.blocks) == 1 and not scroll.blocks[0].is_generic:
-        return "single_block"
-    if scroll.ncols == 2:
-        return "principal"
-    return None
-
-
 def cohom_dim(spec: TwoLinearSpec) -> CohomDim:
     """Cohomological dimension, reported through the structure theorem.
 
     Requires every M_i to be a set-theoretic complete intersection by a known
-    route; the value then equals ``projdim``.  Never computed from local
-    cohomology.
+    route, i.e. its known arithmetical rank equals its height (r - 1 for r
+    columns, 0 without minors); the value then equals ``projdim``.  Never
+    computed from local cohomology.
     """
     for i in range(1, spec.l + 1):
-        if _stci_route(spec.component(i).scroll) is None:
+        scroll = spec.component(i).scroll
+        facts = scroll_ara_facts(scroll)
+        height = scroll.ncols - 1 if _scroll_has_minors(scroll) else 0
+        if facts is None or facts[0] != height:
             raise SpecValidationError(
                 f"component {i}: minor ideal is not a known set-theoretic "
                 "complete intersection; cohomological dimension unavailable")
@@ -458,10 +447,7 @@ def cohom_dim(spec: TwoLinearSpec) -> CohomDim:
 
 def ara_upper_bound(spec: TwoLinearSpec) -> int:
     """projdim + sum_i (ara M_i - cbar_i), under the row hypotheses."""
-    report = validate(spec)
-    if not report.ok:
-        msgs = "; ".join(f.message for f in report.failures)
-        raise SpecValidationError(f"spec fails validation: {msgs}")
+    report = require_valid(spec)
     if not report.ara_hypotheses.upper_bound_ok:
         msgs = "; ".join(report.ara_hypotheses.failures)
         raise SpecValidationError(f"row hypotheses unmet: {msgs}")

@@ -12,13 +12,16 @@ yields the identical result.
 
 `IdealHandle` caches one reduced basis per term order; a cache entry is
 written once and never mutated, so concurrent readers are safe and concurrent
-first computations merely duplicate work.
+first computations merely duplicate work.  The deadline set by `time_limit`
+lives in a context variable, so it bounds only the thread (or task) that set
+it: a new thread starts with no deadline.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .poly import (
@@ -42,23 +45,21 @@ class OracleTimeout(ScrollstciError):
     """A Groebner computation exceeded the configured deadline."""
 
 
-_DEADLINE: float | None = None
+_DEADLINE: ContextVar[float | None] = ContextVar("scrollstci_deadline", default=None)
 
 
 @contextmanager
 def time_limit(seconds: float | None):
     """Abort Groebner computations started inside the block after ``seconds``."""
-    global _DEADLINE
-    previous = _DEADLINE
-    _DEADLINE = None if seconds is None else time.monotonic() + seconds
+    token = _DEADLINE.set(None if seconds is None else time.monotonic() + seconds)
     try:
         yield
     finally:
-        _DEADLINE = previous
+        _DEADLINE.reset(token)
 
 
-def _check_deadline() -> None:
-    if _DEADLINE is not None and time.monotonic() > _DEADLINE:
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
         raise OracleTimeout("Groebner computation timed out")
 
 
@@ -73,12 +74,17 @@ def _monic(p: dict, lm: tuple, field) -> dict:
 
 
 def _reduce_full(p: dict, reducers: list[tuple[tuple, dict]], keyf, field) -> dict:
-    """Full normal form of p modulo monic reducers (every term reduced)."""
+    """Full normal form of p modulo monic reducers (every term reduced).
+
+    Terms enter the result in descending order, so its first key is its
+    leading monomial.
+    """
     work = dict(p)
     out: dict = {}
     fsub, fmul = field.sub, field.mul
+    deadline = _DEADLINE.get()
     while work:
-        _check_deadline()
+        _check_deadline(deadline)
         m = max(work, key=keyf)
         c = work.pop(m)
         hit = None
@@ -157,46 +163,31 @@ def _update(G: set, B: set, ih: int, lms: list) -> tuple[set, set]:
     return G_new, B_new
 
 
-def _interreduce_seeds(seeds: list[dict], keyf, field) -> list[dict]:
-    # reducers passed to _reduce_full must be monic
-    current = [_monic(s, max(s, key=keyf), field) for s in seeds if s]
+def _interreduce(pairs: list[tuple[tuple, dict]], keyf, field) -> list[tuple[tuple, dict]]:
+    """Autoreduce ``(lm, poly)`` pairs until a whole pass keeps every leading monomial.
+
+    Zeros are dropped, every element is made monic, and the pairs come back in
+    descending order of their leading monomials.  After such a pass no term of
+    any element is divisible by another element's leading monomial, so on a
+    Groebner basis the result is the unique reduced basis; on a minimal one
+    (no leading monomial divides another) it takes a single pass.
+    """
+    current = sorted(((lm, _monic(p, lm, field)) for lm, p in pairs), key=lambda t: keyf(t[0]))
     while True:
         changed = False
-        nxt: list[dict] = []
-        for i, p in enumerate(current):
-            others = nxt + current[i + 1:]
-            reducers = sorted(((max(q, key=keyf), q) for q in others), key=lambda t: keyf(t[0]))
+        done: list[tuple[tuple, dict]] = []
+        for i, (lm, p) in enumerate(current):
+            reducers = sorted(done + current[i + 1:], key=lambda t: keyf(t[0]))
             r = _reduce_full(p, reducers, keyf, field)
-            if r != p:
+            if not r:
                 changed = True
-            if r:
-                nxt.append(_monic(r, max(r, key=keyf), field))
-        current = nxt
+                continue
+            rlm = next(iter(r))
+            changed = changed or rlm != lm
+            done.append((rlm, _monic(r, rlm, field)))
+        current = done
         if not changed:
-            return current
-
-
-def _reduced_basis(polys: list[dict], keyf, field) -> list[dict]:
-    """Minimalize leads, then fully reduce tails: the unique reduced basis."""
-    ordered = sorted(polys, key=lambda p: keyf(max(p, key=keyf)))
-    minimal: list[dict] = []
-    lms: list[tuple] = []
-    for p in ordered:
-        lm = max(p, key=keyf)
-        if any(mono_divides(q, lm) for q in lms):
-            continue
-        minimal.append(p)
-        lms.append(lm)
-    for i in range(len(minimal)):
-        reducers = [
-            (lms[j], minimal[j]) for j in range(len(minimal)) if j != i
-        ]
-        reducers.sort(key=lambda t: keyf(t[0]))
-        r = _reduce_full(minimal[i], reducers, keyf, field)
-        minimal[i] = _monic(r, max(r, key=keyf), field)
-        lms[i] = max(minimal[i], key=keyf)
-    pairs = sorted(zip(lms, minimal), key=lambda t: keyf(t[0]), reverse=True)
-    return [p for _, p in pairs]
+            return sorted(current, key=lambda t: keyf(t[0]), reverse=True)
 
 
 def _buchberger(seeds: list[dict], arity: int, order: TermOrder, field,
@@ -218,14 +209,15 @@ def _buchberger(seeds: list[dict], arity: int, order: TermOrder, field,
     for i, s in enumerate(seeds):
         if not s:
             continue
-        if max(s, key=keyf) == one_mono:
+        lm = max(s, key=keyf)
+        if lm == one_mono:
             return list(unit)
-        (prefix if i < gb_prefix else rest).append(s)
+        (prefix if i < gb_prefix else rest).append((lm, s))
     if gb_prefix == 0:
-        rest = _interreduce_seeds(rest, keyf, field)
-        if any(max(p, key=keyf) == one_mono for p in rest):
+        rest = _interreduce(rest, keyf, field)
+        if any(lm == one_mono for lm, _ in rest):
             return list(unit)
-    start = [_monic(p, max(p, key=keyf), field) for p in prefix + rest]
+    start = [(lm, _monic(p, lm, field)) for lm, p in prefix + rest]
     if not start:
         return []
 
@@ -234,19 +226,20 @@ def _buchberger(seeds: list[dict], arity: int, order: TermOrder, field,
     prefix_ids: set[int] = set()
     G: set = set()
     B: set = set()
-    insert_order = sorted(range(len(start)), key=lambda i: keyf(max(start[i], key=keyf)))
+    insert_order = sorted(range(len(start)), key=lambda i: keyf(start[i][0]))
     for i in insert_order:
         idx = len(polys)
-        polys.append(start[i])
-        lms.append(max(start[i], key=keyf))
+        lms.append(start[i][0])
+        polys.append(start[i][1])
         if i < len(prefix):
             prefix_ids.add(idx)
         G, B = _update(G, B, idx, lms)
     if prefix_ids:
         B = {(i, j) for (i, j) in B if not (i in prefix_ids and j in prefix_ids)}
 
+    deadline = _DEADLINE.get()
     while B:
-        _check_deadline()
+        _check_deadline(deadline)
         i, j = min(B, key=lambda pr: (keyf(mono_lcm(lms[pr[0]], lms[pr[1]])), pr))
         B.discard((i, j))
         if mono_coprime(lms[i], lms[j]):
@@ -258,7 +251,7 @@ def _buchberger(seeds: list[dict], arity: int, order: TermOrder, field,
         h = _reduce_full(s, reducers, keyf, field)
         if not h:
             continue
-        lm = max(h, key=keyf)
+        lm = next(iter(h))
         if stop_on_unit and lm == one_mono:
             return list(unit)
         idx = len(polys)
@@ -266,7 +259,7 @@ def _buchberger(seeds: list[dict], arity: int, order: TermOrder, field,
         lms.append(lm)
         G, B = _update(G, B, idx, lms)
 
-    return _reduced_basis([polys[g] for g in G], keyf, field)
+    return [p for _, p in _interreduce([(lms[g], polys[g]) for g in G], keyf, field)]
 
 
 # --- public API -----------------------------------------------------------------
@@ -300,9 +293,6 @@ class IdealHandle:
         self._cache.setdefault(order, result)
         return self._cache[order]
 
-    def seed_basis(self, order: TermOrder, basis: tuple[Polynomial, ...]) -> None:
-        self._cache.setdefault(order, basis)
-
     def normal_form(self, f: Polynomial, order: TermOrder = DEGREVLEX) -> Polynomial:
         if f.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
@@ -317,10 +307,6 @@ class IdealHandle:
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
-
-    def is_unit_ideal(self) -> bool:
-        gb = self.groebner_basis()
-        return len(gb) == 1 and gb[0].is_constant() and not gb[0].is_zero()
 
     def to_json(self):
         return {

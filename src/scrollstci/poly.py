@@ -2,8 +2,10 @@
 
 Everything downstream (the Groebner oracle, scroll matrices, the
 linearly-joined machinery) is built on the values defined here.  Polynomials
-are immutable; every operation is a pure function, so values can be shared
-freely, including across threads.
+are immutable and every operation is a pure function; the module keeps no
+mutable global state (the only lazily written field, a polynomial's cached
+hash, always receives the same value), so values can be shared freely,
+including across threads.
 
 Coefficients are `fractions.Fraction` over the rationals and plain ints in
 ``[0, p)`` over a prime field.  There is no floating point anywhere: radical
@@ -194,13 +196,9 @@ class Ring:
             k += 1
         return f"{stem}{k}"
 
-    def extended(self, names: Sequence[str], prepend: bool = True) -> "Ring":
-        new = tuple(names) + self.variables if prepend else self.variables + tuple(names)
-        return Ring(new, self.field)
-
-    def without(self, names: Iterable[str]) -> "Ring":
-        drop = set(names)
-        return Ring(tuple(v for v in self.variables if v not in drop), self.field)
+    def extended(self, names: Sequence[str]) -> "Ring":
+        """Prepend ``names``: degrevlex then orders the old monomials as before."""
+        return Ring(tuple(names) + self.variables, self.field)
 
     def to_json(self):
         return {"vars": list(self.variables), "field": self.field.to_json()}
@@ -214,15 +212,6 @@ class Ring:
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
-
-def mono_div(a: tuple, b: tuple) -> tuple | None:
-    """a / b, or None when b does not divide a."""
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
 
 def mono_divides(a: tuple, b: tuple) -> bool:
     return all(x <= y for x, y in zip(a, b))
@@ -344,12 +333,6 @@ class Polynomial:
     def monomials(self) -> list[tuple]:
         return list(self._terms)
 
-    def coefficient(self, mono: tuple):
-        return self._terms.get(tuple(mono), self.ring.field.zero)
-
-    def num_terms(self) -> int:
-        return len(self._terms)
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((mono_deg(m) for m in self._terms), default=-1)
@@ -469,15 +452,6 @@ class Polynomial:
 
 
 # --- spec operations ----------------------------------------------------------
-
-def canonicalize(p: Polynomial) -> Polynomial:
-    """Re-normalize a polynomial: merge like terms, drop zeros.  Idempotent."""
-    return Polynomial(p.ring, p._terms)
-
-
-def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
 
 def substitute(p: Polynomial, assignment: Mapping[str, Polynomial],
                target_ring: Ring | None = None) -> Polynomial:
@@ -718,10 +692,6 @@ def parse(ring: Ring, text: str) -> Polynomial:
     return result
 
 
-def parse_forms(ring: Ring, texts: Iterable[str]) -> list[Polynomial]:
-    return [parse(ring, t) for t in texts]
-
-
 # --- linear forms ---------------------------------------------------------------
 
 def is_linear_form(p: Polynomial) -> bool:
@@ -844,9 +814,6 @@ class LinearSpan:
     def reduce(self, form: Polynomial) -> tuple[Polynomial, Polynomial]:
         h = self.residual(form)
         return form - h, h
-
-    def basis_forms(self) -> list[Polynomial]:
-        return [linear_form(self.ring, row) for row in self._rows]
 
 
 def linear_span_dim(forms: Sequence[Polynomial], ring: Ring | None = None) -> int:

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linjoin, oracle
-from .linjoin import TwoLinearSpec, intersection_ideal, validate
+from . import linjoin
+from .linjoin import TwoLinearSpec, _row_in_span, intersection_ideal
 from .oracle import IdealHandle, radical_equal
 from .poly import LinearSpan, Polynomial, RingMismatchError, ScrollstciError, linear_span_dim
 from .scroll import ScrollBlock, verdi_generators
@@ -82,13 +82,12 @@ def _single_block(spec: TwoLinearSpec, i: int) -> ScrollBlock | None:
     return scroll.blocks[0]
 
 
-def _row_with_corner(block: ScrollBlock, span: LinearSpan) -> Polynomial:
-    """Corner of a block row inside the span, preferring the first row / L0."""
-    if span.contains_all(block.row(1)):
-        return block.entries[0]
-    if span.contains_all(block.row(2)):
-        return block.entries[-1]
-    raise SynthesisError("no block row inside the required span")
+def _corner(block: ScrollBlock, forms, message: str) -> Polynomial:
+    """Corner of a block row inside span(forms), preferring row 1 and so L0."""
+    which = _row_in_span(block, forms)
+    if which is None:
+        raise SynthesisError(message)
+    return block.corners[which - 1]
 
 
 def _greedy_complement(ring, candidates, inner, target_forms, what: str) -> list[Polynomial]:
@@ -116,10 +115,7 @@ def _greedy_complement(ring, candidates, inner, target_forms, what: str) -> list
 
 def tilde_decompose(spec: TwoLinearSpec) -> TildeData:
     """Build the tilde complements; hypotheses are re-validated first."""
-    report = validate(spec)
-    if not report.ok:
-        msgs = "; ".join(f.message for f in report.failures)
-        raise SynthesisError(f"spec fails validation: {msgs}")
+    report = linjoin.require_valid(spec, SynthesisError)
     if not report.ara_hypotheses.synthesis_ok:
         msgs = "; ".join(report.ara_hypotheses.failures)
         raise SynthesisError(f"synthesis hypotheses unmet: {msgs}")
@@ -138,21 +134,18 @@ def tilde_decompose(spec: TwoLinearSpec) -> TildeData:
         delta = comp.delta
         block = blocks[j - 1]
         inner = inner_spans[j - 1]
+        corner = None
+        if block is not None and block.c >= 1:
+            corner = _corner(block, delta, "no block row inside the required span")
         if comp.tilde_delta is not None:
             chosen = list(comp.tilde_delta)
             _check_override(ring, chosen, inner, delta, f"tildeDelta_{j}")
         else:
-            candidates: list[Polynomial] = []
-            if block is not None and block.c >= 1:
-                span = LinearSpan(ring, delta)
-                candidates.append(_row_with_corner(block, span))
-            candidates.extend(delta)
+            candidates = ([] if corner is None else [corner]) + list(delta)
             chosen = _greedy_complement(ring, candidates, inner, delta, f"tildeDelta_{j}")
-        if block is not None and block.c >= 1:
-            corner = _row_with_corner(block, LinearSpan(ring, delta))
-            if not LinearSpan(ring, chosen).contains(corner):
-                raise SynthesisError(
-                    f"tildeDelta_{j} does not contain the corner of block {j}")
+        if corner is not None and not LinearSpan(ring, chosen).contains(corner):
+            raise SynthesisError(
+                f"tildeDelta_{j} does not contain the corner of block {j}")
         expected = linear_span_dim(list(delta), ring) - (block.c if block else 0)
         if len(chosen) != expected:
             raise SynthesisError(
@@ -172,12 +165,8 @@ def tilde_decompose(spec: TwoLinearSpec) -> TildeData:
             if block is None or block.c < 1:
                 continue
             inner.extend(inner_spans[i - 1])
-            span = LinearSpan(ring, p)
-            try:
-                corners.append(_row_with_corner(block, span))
-            except SynthesisError:
-                raise SynthesisError(
-                    f"no row of block {i} inside span(P_{j}): no corner available")
+            corners.append(_corner(
+                block, p, f"no row of block {i} inside span(P_{j}): no corner available"))
         if comp.tilde_p is not None:
             chosen = list(comp.tilde_p)
             _check_override(ring, chosen, inner, p, f"tildeP_{j}")

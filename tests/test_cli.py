@@ -186,6 +186,24 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+def test_deep_nesting_is_an_error_not_a_verdict(tmp_path, capsys):
+    nested = "(" * 5000 + "x" + ")" * 5000
+    path = write_ideal(tmp_path, "deep.json", ["x"], [nested])
+    code, doc = invoke(capsys, "gb", path)
+    assert code == 2 and doc["status"] == "error"
+    assert any("RecursionError" in d for d in doc["diagnostics"])
+    path = write_ideal(tmp_path, "i.json", ["x"], ["x"])
+    code, doc = invoke(capsys, "member", path, "--poly", nested)
+    assert code == 2 and doc["status"] == "error"
+    assert any("RecursionError" in d for d in doc["diagnostics"])
+
+
+def test_synth_rejects_verify_flag(capsys):
+    spec = str(FIXTURES_DIR / "example-coordinate-lines.json")
+    code, doc = invoke(capsys, "synth", spec, "--verify")
+    assert code == 2 and doc["status"] == "error"
+
+
 def test_timeout_exit(capsys, tmp_path):
     variables = [f"x{i}" for i in range(8)]
     gens = [f"x{i}^3 - x{(i + 1) % 8}*x{(i + 2) % 8} - 1" for i in range(8)]

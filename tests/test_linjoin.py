@@ -263,6 +263,31 @@ def test_cohom_dim_refuses_unknown_stci():
     assert "component 1" in str(err.value)
 
 
+@pytest.mark.parametrize("blocks, known", [
+    (None, True),                                      # zero ideal
+    ([("x0", "x1")], True),                            # one generic column: no minors
+    ([("x0", "x1", "x2")], True),                      # one block, c = 1
+    ([("x0", "x1", "x2", "x3")], True),                # c = 2
+    ([("x0", "x1", "x2", "x3", "x4")], True),          # c = 3
+    ([("x0", "x1"), ("x2", "x3")], True),              # two generic columns: principal
+    ([("x0", "x1"), ("x2", "x3"), ("x4", "x5")], False),
+    ([("x0", "x1", "x2"), ("x3", "x4")], False),       # generic plus non-generic
+])
+def test_cohom_dim_scroll_shapes(blocks, known):
+    ring = Ring(("x0", "x1", "x2", "x3", "x4", "x5", "y", "z"))
+    scroll = None if blocks is None else ScrollMatrix(tuple(
+        ScrollBlock(tuple(ring.variable(v) for v in b)) for b in blocks))
+    spec = TwoLinearSpec(ring, (
+        ComponentSpec(scroll=scroll),
+        ComponentSpec(delta=(ring.variable("y"),), p_forms=(ring.variable("z"),)),
+    ))
+    if known:
+        assert cohom_dim(spec).value == 1
+    else:
+        with pytest.raises(SpecValidationError, match="component 1"):
+            cohom_dim(spec)
+
+
 def test_ara_upper_bound_values(curve1, qprime):
     assert ara_upper_bound(qprime) == 4          # projdim 3 + (1 - 0)
     assert ara_upper_bound(curve1) == 6          # single block contributes 0

@@ -1,6 +1,7 @@
 """Certification engine: Groebner bases and the derived ideal predicates."""
 
 import random
+import threading
 
 import pytest
 
@@ -333,3 +334,34 @@ def test_time_limit_restores_previous():
                 ideal(R2, "x^2 - y", "y^2 - x").groebner_basis()
         # outer limit active again; plenty of time
         assert ideal(R2, "x - y").groebner_basis()
+
+
+def test_time_limit_is_per_thread():
+    # one thread runs without a limit while another sits inside time_limit(0)
+    entered, limited, computed = threading.Event(), threading.Event(), threading.Event()
+    outcome = {}
+
+    def unlimited():
+        with time_limit(None):
+            entered.set()
+            limited.wait(10)
+            try:
+                outcome["basis"] = ideal(R2, "x^2 - y", "y^2 - x").groebner_basis()
+            except OracleTimeout as exc:
+                outcome["error"] = exc
+            finally:
+                computed.set()
+
+    def zero_limit():
+        entered.wait(10)
+        with time_limit(0.0):
+            limited.set()
+            computed.wait(10)
+
+    threads = [threading.Thread(target=unlimited), threading.Thread(target=zero_limit)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(20)
+    assert "error" not in outcome
+    assert outcome["basis"]

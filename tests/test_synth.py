@@ -8,6 +8,7 @@ from scrollstci import fixtures
 from scrollstci.linjoin import ComponentSpec, TwoLinearSpec, intersection_ideal, projdim
 from scrollstci.oracle import IdealHandle, ideal_member, radical_member
 from scrollstci.poly import LinearSpan, Ring, linear_span_dim, parse
+from scrollstci.scroll import ScrollBlock, ScrollMatrix
 from scrollstci.synth import (
     SynthesisError,
     synthesize,
@@ -80,6 +81,20 @@ def test_dimension_identities(curve1, curve2):
             dim_d = linear_span_dim(spec.delta(j), spec.ring)
             assert len(tilde.tilde_p[j - 1]) == dim_p - sum(cs[: j - 1])
             assert len(tilde.tilde_delta[j - 1]) == dim_d - cs[j - 1]
+
+
+def test_tilde_delta_corner_from_row_two():
+    # only row 2 (x1, x2) of the block lies in Delta_2, so the kept corner is x2
+    ring = Ring(("x0", "x1", "x2", "y"))
+    x0, x1, x2, y = (ring.variable(v) for v in ring.variables)
+    spec = TwoLinearSpec(ring, (
+        ComponentSpec(),
+        ComponentSpec(scroll=ScrollMatrix((ScrollBlock((x0, x1, x2)),)),
+                      delta=(x1, x2), p_forms=(y,)),
+    ))
+    tilde = tilde_decompose(spec)
+    assert tilde.inner_spans[1] == (x1,)
+    assert tilde.tilde_delta[1] == (x2,)
 
 
 def test_tilde_refuses_missing_row():
