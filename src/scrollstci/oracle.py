@@ -2,8 +2,18 @@
 
 Reduced Groebner bases via Buchberger's algorithm with the Gebauer-Moeller
 pair criteria and a degree-graded pair queue, and the ideal predicates built
-on top: membership, radical membership (Rabinowitsch trick), intersection,
-elimination, saturation, and radical equality.
+on top: membership, radical membership, intersection, elimination,
+saturation, and radical equality.
+
+Radical membership and radical equality share one witness search, the
+radical chain (the Schmitt-Vogel device behind Verdi's generators).  To put
+f_1, ..., f_n in rad(I) it grows an ideal H, starting at H = I, and certifies
+links f_j^{k_j} in H, each a plain normal-form test; generators certified
+with k_j > 1 join H in batches, so later links may use them, and
+rad(H) = rad(I) throughout.  A generator no power up to the witness bound
+closes is decided by the Rabinowitsch trick (1 in H + (1 - t*f_j)) against
+the current H: that is the fallback for long links and the only route to a
+negative verdict.
 
 Instances in this toolkit are small (at most ~10 variables, low degree), so
 the engine favours exactness and determinism over asymptotics.  The reduced
@@ -13,54 +23,33 @@ yields the identical result.
 `IdealHandle` caches one reduced basis per term order; a cache entry is
 written once and never mutated, so concurrent readers are safe and concurrent
 first computations merely duplicate work.  The deadline set by `time_limit`
-lives in a context variable, so it bounds only the thread (or task) that set
-it: a new thread starts with no deadline.
+(see `poly`) lives in a context variable, so it bounds only the thread (or
+task) that set it: a new thread starts with no deadline.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .poly import (
+    _DEADLINE,
     DEGREVLEX,
+    OracleTimeout,  # re-exported with time_limit: the oracle's deadline API
     Polynomial,
     Ring,
     RingMismatchError,
     ScrollstciError,
     TermOrder,
+    _check_deadline,
     block_order,
     mono_coprime,
     mono_deg,
     mono_divides,
     mono_lcm,
     mono_mul,
+    time_limit,
     transport,
 )
-
-
-class OracleTimeout(ScrollstciError):
-    """A Groebner computation exceeded the configured deadline."""
-
-
-_DEADLINE: ContextVar[float | None] = ContextVar("scrollstci_deadline", default=None)
-
-
-@contextmanager
-def time_limit(seconds: float | None):
-    """Abort Groebner computations started inside the block after ``seconds``."""
-    token = _DEADLINE.set(None if seconds is None else time.monotonic() + seconds)
-    try:
-        yield
-    finally:
-        _DEADLINE.reset(token)
-
-
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise OracleTimeout("Groebner computation timed out")
 
 
 # --- internal representation: dict monomial -> scalar -------------------------
@@ -379,21 +368,78 @@ def _rabinowitsch_contains(I: IdealHandle, f: Polynomial) -> bool:
     return len(basis) == 1 and mono_deg(next(iter(basis[0]))) == 0
 
 
+_RABINOWITSCH = "Rabinowitsch"
+
+
+def _extend(H: IdealHandle, polys: list[Polynomial]) -> IdealHandle:
+    """H + (polys), its degrevlex basis grown from H's cached one."""
+    gb = H.groebner_basis(DEGREVLEX)
+    seeds = [dict(g._terms) for g in gb] + [dict(p._terms) for p in polys]
+    basis = _buchberger(seeds, H.ring.arity, DEGREVLEX, H.ring.field, gb_prefix=len(gb))
+    out = IdealHandle(H.ring, H.generators + tuple(polys))
+    out._cache[DEGREVLEX] = tuple(Polynomial._make(H.ring, p) for p in basis)
+    return out
+
+
+def _radical_chain(gens, I: IdealHandle, witness_bound: int = 8):
+    """Certify every generator in rad(I), link by link; None if one is not in it.
+
+    Returns the links ``(g, k)`` with g^k in I + (generators certified
+    before g), or ``(g, "Rabinowitsch")`` when only the Rabinowitsch trick
+    closed g, in the order they were certified.  Levels k = 1..witness_bound
+    are swept over all open generators; those closed at some k > 1 join H in
+    one batch while others stay open, and the open ones restart at k = 1.
+    (A generator closed at k = 1 already lies in H.)  When a whole sweep
+    closes nothing, the first open generator goes to Rabinowitsch against H.
+    """
+    H = I
+    pending = list(gens)
+    links = []
+    while pending:
+        powers = list(pending)
+        closed = []
+        for k in range(1, witness_bound + 1):
+            if k > 1:
+                powers = [p * g for g, p in zip(pending, powers)]
+            still, still_powers = [], []
+            for g, p in zip(pending, powers):
+                if H.contains(p):
+                    links.append((g, k))
+                    if k > 1:
+                        closed.append(g)
+                else:
+                    still.append(g)
+                    still_powers.append(p)
+            pending, powers = still, still_powers
+            if closed or not pending:
+                break
+        if not pending:
+            break
+        if closed:
+            H = _extend(H, closed)
+            continue
+        g = pending.pop(0)
+        if not _rabinowitsch_contains(H, g):
+            return None
+        links.append((g, _RABINOWITSCH))
+        if pending:
+            H = _extend(H, [g])
+    return links
+
+
 def radical_member(f: Polynomial, I: IdealHandle, witness_bound: int = 8) -> RadicalCertificate:
-    """Decide f in rad(I); Rabinowitsch gives the verdict, small powers the witness."""
+    """Decide f in rad(I): the radical chain of the single generator f."""
     if f.ring != I.ring:
         raise RingMismatchError("polynomial lives in a different ring")
     if f.is_zero():
         return RadicalCertificate(True, witness_k=1)
-    power = f
-    for k in range(1, witness_bound + 1):
-        if I.contains(power):
-            return RadicalCertificate(True, witness_k=k)
-        if k < witness_bound:
-            power = power * f
-    if _rabinowitsch_contains(I, f):
+    links = _radical_chain([f], I, witness_bound)
+    if links is None:
+        return RadicalCertificate(False, rabinowitsch=True)
+    (_, k), = links
+    if k == _RABINOWITSCH:
         return RadicalCertificate(True, witness_k=None, rabinowitsch=True)
-    return RadicalCertificate(False, rabinowitsch=True)
+    return RadicalCertificate(True, witness_k=k)
 
 
 def eliminate(I: IdealHandle, variables) -> IdealHandle:
@@ -460,15 +506,16 @@ def intersect_many(handles) -> IdealHandle:
 
 
 def radical_equal(I: IdealHandle, J: IdealHandle) -> bool:
-    """rad(I) == rad(J): every generator in the other radical, both ways."""
+    """rad(I) == rad(J): equal reduced bases, or a radical chain both ways.
+
+    The chain of I's generators into J certifies rad(I) within rad(J) (and
+    the reverse chain the converse), each link a normal-form test against J
+    grown by the links before it, with the Rabinowitsch trick as fallback and
+    as the only route to False.
+    """
     if I.ring != J.ring:
         raise RingMismatchError("ideals live in different rings")
     if I.groebner_basis() == J.groebner_basis():
         return True
-    for g in I.generators:
-        if not radical_member(g, J).member:
-            return False
-    for g in J.generators:
-        if not radical_member(g, I).member:
-            return False
-    return True
+    return (_radical_chain(I.generators, J) is not None
+            and _radical_chain(J.generators, I) is not None)

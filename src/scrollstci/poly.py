@@ -7,6 +7,11 @@ mutable global state (the only lazily written field, a polynomial's cached
 hash, always receives the same value), so values can be shared freely,
 including across threads.
 
+The deadline set by `time_limit` lives in a context variable, so it bounds
+only the thread (or task) that set it: a new thread starts with no deadline.
+Products check it once per term of the left factor, so powering and parsing
+are bounded as well as the Groebner loops built on top.
+
 Coefficients are `fractions.Fraction` over the rationals and plain ints in
 ``[0, p)`` over a prime field.  There is no floating point anywhere: radical
 membership certificates must be exact.
@@ -15,6 +20,9 @@ membership certificates must be exact.
 from __future__ import annotations
 
 import re
+import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -30,6 +38,28 @@ class RingMismatchError(ScrollstciError):
 
 class ParseError(ScrollstciError):
     """Malformed polynomial text."""
+
+
+class OracleTimeout(ScrollstciError):
+    """A computation exceeded the configured deadline."""
+
+
+_DEADLINE: ContextVar[float | None] = ContextVar("scrollstci_deadline", default=None)
+
+
+@contextmanager
+def time_limit(seconds: float | None):
+    """Abort computations started inside the block after ``seconds``."""
+    token = _DEADLINE.set(None if seconds is None else time.monotonic() + seconds)
+    try:
+        yield
+    finally:
+        _DEADLINE.reset(token)
+
+
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise OracleTimeout("computation timed out")
 
 
 def _is_prime(n: int) -> bool:
@@ -403,7 +433,9 @@ class Polynomial:
         field = self.ring.field
         fadd, fmul = field.add, field.mul
         out: dict = {}
+        deadline = _DEADLINE.get()
         for m1, c1 in self._terms.items():
+            _check_deadline(deadline)
             for m2, c2 in other._terms.items():
                 m = tuple(x + y for x, y in zip(m1, m2))
                 c = fmul(c1, c2)
@@ -810,10 +842,6 @@ class LinearSpan:
 
     def contains_all(self, forms: Iterable[Polynomial]) -> bool:
         return all(self.contains(f) for f in forms)
-
-    def reduce(self, form: Polynomial) -> tuple[Polynomial, Polynomial]:
-        h = self.residual(form)
-        return form - h, h
 
 
 def linear_span_dim(forms: Sequence[Polynomial], ring: Ring | None = None) -> int:

@@ -24,6 +24,7 @@ from scrollstci.linjoin import (
 )
 from scrollstci.oracle import (
     IdealHandle,
+    _rabinowitsch_contains,
     ideal_member,
     intersect,
     radical_equal,
@@ -60,7 +61,7 @@ def var_block(ring, *names):
 
 def test_criterion_1_verdi_certification():
     with criterion(1, "verdi-certification"):
-        for c in (1, 2, 3):
+        for c in range(1, 7):
             ring = Ring(tuple(f"x{i}" for i in range(c + 2)))
             block = var_block(ring, *ring.variables)
             minors = IdealHandle(ring, minors_2x2(block))
@@ -69,6 +70,13 @@ def test_criterion_1_verdi_certification():
             for f in F:
                 assert ideal_member(f, minors)
             assert radical_equal(IdealHandle(ring, F), minors)
+            # negative control: c - 1 generators cannot cut out a height-c
+            # variety (Krull), so dropping F_c must lose radical equality
+            assert not radical_equal(IdealHandle(ring, F[:-1]), minors)
+            if c <= 3:
+                # Rabinowitsch alone, against (F) itself, with no chain
+                assert all(_rabinowitsch_contains(IdealHandle(ring, F), m)
+                           for m in minors.generators)
 
 
 # --- 2: first curve example ------------------------------------------------------

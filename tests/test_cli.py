@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: one run per subcommand plus the exit-code contract."""
 
 import json
+import time
 
 from scrollstci.cli import main, run
 from scrollstci.poly import Ring, parse
@@ -209,6 +210,15 @@ def test_timeout_exit(capsys, tmp_path):
     gens = [f"x{i}^3 - x{(i + 1) % 8}*x{(i + 2) % 8} - 1" for i in range(8)]
     path = write_ideal(tmp_path, "slow.json", variables, gens)
     code, doc = invoke(capsys, "--timeout", "0.0", "gb", path)
+    assert code == 2 and doc["payload"]["message"] == "timed out"
+
+
+def test_timeout_bounds_powering(capsys, tmp_path):
+    # parsing (x+y+z)^200 alone runs for minutes; the deadline stops the products
+    path = write_ideal(tmp_path, "i.json", ["x", "y", "z"], ["x"])
+    start = time.monotonic()
+    code, doc = invoke(capsys, "--timeout", "1", "member", path, "--poly", "(x+y+z)^200")
+    assert time.monotonic() - start < 10
     assert code == 2 and doc["payload"]["message"] == "timed out"
 
 

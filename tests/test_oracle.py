@@ -8,6 +8,9 @@ import pytest
 from scrollstci.oracle import (
     IdealHandle,
     OracleTimeout,
+    _extend,
+    _rabinowitsch_contains,
+    _radical_chain,
     eliminate,
     groebner_basis,
     ideal_member,
@@ -19,7 +22,8 @@ from scrollstci.oracle import (
     saturate,
     time_limit,
 )
-from scrollstci.poly import LEX, Fp, Ring, RingMismatchError, parse
+from scrollstci.poly import LEX, QQ, Fp, Ring, RingMismatchError, parse
+from scrollstci.scroll import ScrollBlock, minors_2x2, verdi_generators
 
 R2 = Ring(("x", "y"))
 R3 = Ring(("x", "y", "z"))
@@ -199,6 +203,73 @@ def test_witness_decoration_with_tight_bound():
     assert loose.member and loose.witness_k == 5 and not loose.rabinowitsch
     tight = radical_member(parse(R2, "x"), I, witness_bound=2)
     assert tight.member and tight.witness_k is None and tight.rabinowitsch
+
+
+# --- radical chain -----------------------------------------------------------------
+
+def random_poly(rng, ring, monos, terms):
+    return sum((rng.randint(-2, 2) * ring.monomial(rng.choice(monos)) for _ in range(terms)),
+               ring.zero())
+
+
+def chain_cases(field, seed, count):
+    """Seeded (generators, ideal) pairs in 3 variables, many of them positive.
+
+    The ideal is built from powers and products of random polynomials p, q,
+    so p and q lie in its radical; further random generators are mostly not.
+    """
+    ring = Ring(("x", "y", "z"), field)
+    rng = random.Random(seed)
+    monos = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)
+             if 0 < i + j + k <= 2]
+    for _ in range(count):
+        p, q, r = (random_poly(rng, ring, monos, 2) for _ in range(3))
+        gens = [g for g in (p ** rng.randint(2, 3), q ** 2 + p * r, q * r ** 2) if not g.is_zero()]
+        I = IdealHandle(ring, gens)
+        candidates = [p, q] + [random_poly(rng, ring, monos, 2) for _ in range(rng.randint(0, 1))]
+        rng.shuffle(candidates)
+        yield [g for g in candidates if not g.is_zero()], I
+
+
+def replay(links, I):
+    """Check every link against I + (earlier links) by plain normal forms."""
+    for j, (g, k) in enumerate(links):
+        H = IdealHandle(I.ring, list(I.generators) + [h for h, _ in links[:j]])
+        if k == "Rabinowitsch":
+            assert _rabinowitsch_contains(H, g)
+        else:
+            assert H.contains(g ** k)
+
+
+@pytest.mark.parametrize("field,seed", [(QQ, 31), (Fp(7), 37)])
+def test_radical_chain_agrees_with_rabinowitsch(field, seed):
+    positives = 0
+    for gens, I in chain_cases(field, seed, 25):
+        links = _radical_chain(gens, I)
+        assert (links is not None) == all(_rabinowitsch_contains(I, g) for g in gens)
+        if links is not None:
+            positives += 1
+            assert sorted(map(str, (g for g, _ in links))) == sorted(map(str, gens))
+            replay(links, I)
+    assert positives >= 5
+
+
+def test_radical_chain_replays_verdi_width_4():
+    ring = Ring(tuple(f"x{i}" for i in range(6)))
+    block = ScrollBlock(tuple(ring.variable(v) for v in ring.variables))
+    F = IdealHandle(ring, verdi_generators(block))
+    links = _radical_chain(minors_2x2(block), F)
+    assert links is not None and len(links) == 10
+    assert max(k for _, k in links) > 1
+    replay(links, F)
+
+
+def test_extend_matches_fresh_basis():
+    I = ideal(R3, "x^2 - y*z", "y^3")
+    more = [parse(R3, "x*y - z^2"), parse(R3, "z^3 + x")]
+    grown = _extend(I, more)
+    assert grown.groebner_basis() == ideal(R3, "x^2 - y*z", "y^3", "x*y - z^2",
+                                           "z^3 + x").groebner_basis()
 
 
 # --- intersection ------------------------------------------------------------------

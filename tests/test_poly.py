@@ -11,6 +11,7 @@ from scrollstci.poly import (
     LEX,
     Fp,
     LinearSpan,
+    OracleTimeout,
     ParseError,
     Polynomial,
     Ring,
@@ -25,6 +26,7 @@ from scrollstci.poly import (
     parse,
     proportional,
     substitute,
+    time_limit,
     transport,
 )
 
@@ -50,6 +52,14 @@ def test_commutativity_cancels():
 
 def test_binomial_expansion():
     assert P("(x + y)*(x + y)") == P("x^2 + 2*x*y + y^2")
+
+
+def test_products_respect_the_deadline():
+    base = P("x + y + 1")
+    with time_limit(0.0):
+        with pytest.raises(OracleTimeout):
+            base ** 40
+    assert (base ** 2) == P("x^2 + 2*x*y + y^2 + 2*x + 2*y + 1")
 
 
 def test_ring_mismatch_rejected():
@@ -317,7 +327,8 @@ def test_span_residual_decomposition():
     ring = Ring(("a", "b", "h"))
     span = LinearSpan(ring, [ring.variable("a"), ring.variable("b")])
     form = parse(ring, "a + 2*b + 3*h")
-    proj, resid = span.reduce(form)
+    resid = span.residual(form)
+    proj = form - resid
     assert proj + resid == form
     assert span.contains(proj)
     assert resid == parse(ring, "3*h")
