@@ -62,34 +62,38 @@ def _parse_field(text: str | None) -> FieldSpec | None:
     raise ScrollstciError(f"bad field {text!r}; use QQ or Fp=p")
 
 
-def _load_json(path: str):
+def _with_field(doc, field: FieldSpec | None):
+    """``doc`` with the field of its ring replaced by ``field``, if given."""
+    if field is None:
+        return doc
+    return {**doc, "ring": {**doc["ring"], "field": field.to_json()}}
+
+
+def _from_file(path: str, build):
+    """``build`` applied to the JSON document at ``path``; a missing file, bad
+    JSON or a document of the wrong shape raises an error naming the file."""
     try:
-        return json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ScrollstciError(f"unreadable file {path!r}")
     except json.JSONDecodeError as exc:
         raise ScrollstciError(f"bad JSON in {path!r}: {exc}")
-
-
-def _override_field(ring_doc, field: FieldSpec | None):
-    if field is not None:
-        ring_doc = dict(ring_doc)
-        ring_doc["field"] = field.to_json()
-    return ring_doc
+    try:
+        return build(doc)
+    except KeyError as exc:
+        problem = f"missing key {exc.args[0]!r}"
+    except (TypeError, ValueError, AttributeError) as exc:
+        problem = str(exc)
+    raise ScrollstciError(f"malformed input in {path!r}: {problem}")
 
 
 def _load_ideal(path: str, field: FieldSpec | None) -> IdealHandle:
-    doc = _load_json(path)
-    doc = dict(doc)
-    doc["ring"] = _override_field(doc["ring"], field)
-    return IdealHandle.from_json(doc)
+    return _from_file(path, lambda doc: IdealHandle.from_json(_with_field(doc, field)))
 
 
 def _load_spec(path: str, field: FieldSpec | None) -> linjoin.TwoLinearSpec:
-    doc = _load_json(path)
-    doc = dict(doc)
-    doc["ring"] = _override_field(doc["ring"], field)
-    return linjoin.TwoLinearSpec.from_json(doc)
+    return _from_file(
+        path, lambda doc: linjoin.TwoLinearSpec.from_json(_with_field(doc, field)))
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -177,11 +181,15 @@ def _load_scroll_doc(args):
         return ring, matrix, None
     if not args.file:
         raise ScrollstciError("give a scroll JSON file or --block")
-    doc = _load_json(args.file)
-    ring = Ring.from_json(_override_field(doc["ring"], field))
-    matrix = scroll.ScrollMatrix.from_json(ring, doc.get("scroll") or doc)
-    delta = [parse(ring, s) for s in doc.get("delta", [])]
-    return ring, matrix, delta
+
+    def build(doc):
+        doc = _with_field(doc, field)
+        ring = Ring.from_json(doc["ring"])
+        matrix = scroll.ScrollMatrix.from_json(ring, doc.get("scroll") or doc)
+        delta = [parse(ring, s) for s in doc.get("delta", [])]
+        return ring, matrix, delta
+
+    return _from_file(args.file, build)
 
 
 def _cmd_minors(args) -> CommandResult:
@@ -256,12 +264,11 @@ def _cmd_synth(args) -> CommandResult:
 def _cmd_verify(args) -> CommandResult:
     spec = _load_spec(args.spec, _parse_field(args.field))
     if args.gens_file:
-        texts = _load_json(args.gens_file)
+        gens = _from_file(args.gens_file, lambda texts: [parse(spec.ring, t) for t in texts])
     elif args.gens:
-        texts = [t for t in args.gens.split(";") if t.strip()]
+        gens = [parse(spec.ring, t) for t in args.gens.split(";") if t.strip()]
     else:
         raise ScrollstciError("give --gens or --gens-file")
-    gens = [parse(spec.ring, t) for t in texts]
     verdict = synth.verify_generator_list(gens, spec)
     return CommandResult("ok" if verdict else "false", {"verified": verdict},
                          _fp_diagnostics(spec.ring))
@@ -269,15 +276,13 @@ def _cmd_verify(args) -> CommandResult:
 
 def _parse_basis(args) -> lattice_mod.LatticeBasis:
     if args.basis_file:
-        rows = _load_json(args.basis_file)
-    elif args.basis:
-        rows = [
+        return _from_file(args.basis_file, lattice_mod.LatticeBasis)
+    if args.basis:
+        return lattice_mod.LatticeBasis([
             [int(x) for x in row.split(",") if x.strip()]
             for row in args.basis.split(";") if row.strip()
-        ]
-    else:
-        raise ScrollstciError("give --basis or --basis-file")
-    return lattice_mod.LatticeBasis(tuple(tuple(r) for r in rows))
+        ])
+    raise ScrollstciError("give --basis or --basis-file")
 
 
 def _cmd_lattice(args) -> CommandResult:

@@ -11,11 +11,13 @@ the component ideals an ideal with a 2-linear resolution:
 
   (d) M_i inside (Delta_i) for i >= 2,
   (e) M_i inside (P_j) for i < j,
-  (f) the running intersection of the (Q_j), j < k, inside (P_k, D_{k-1}),
+  (f) the intersection of the (Q_j), j < k, inside (P_k, D_{k-1}),
 
 plus direct-sum rank checks, and it records the hypothesis flags needed by
 the generator-synthesis theorems (single-block scrolls; a row of each block
-inside the relevant spans).
+inside the relevant spans).  Every check is linear algebra.  (P_k, D_{k-1})
+is generated by linear forms, hence prime, so by prime avoidance (f) holds iff
+some Q_j, j < k, lies in span(P_k, D_{k-1}); an empty Q_j is the zero ideal.
 
 ``projdim`` evaluates max_i dim(P_i + D_{i-1}) - 1 for i = 2..l, which equals
 the projective dimension of the quotient by the intersection; ``cohom_dim``
@@ -26,11 +28,12 @@ evaluates projdim + sum_i (ara M_i - cbar_i).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple, Sequence
 
 from . import oracle
-from .oracle import IdealHandle, intersect
+from .oracle import IdealHandle
 from .poly import (
     LinearSpan,
     Polynomial,
@@ -243,13 +246,9 @@ def validate(spec: TwoLinearSpec) -> ValidationReport:
         fail("structure", (1,), str(first.delta[0]), "component 1 must have no Delta forms")
     for i in range(1, spec.l + 1):
         comp = spec.component(i)
-        if len(set(comp.delta)) != len(comp.delta) or (
-            comp.delta and linear_span_dim(comp.delta, spec.ring) != len(comp.delta)
-        ):
+        if linear_span_dim(comp.delta, spec.ring) != len(comp.delta):
             fail("structure", (i,), None, f"Delta basis of component {i} is dependent")
-        if len(set(comp.p_forms)) != len(comp.p_forms) or (
-            comp.p_forms and linear_span_dim(comp.p_forms, spec.ring) != len(comp.p_forms)
-        ):
+        if linear_span_dim(comp.p_forms, spec.ring) != len(comp.p_forms):
             fail("structure", (i,), None, f"P basis of component {i} is dependent")
         if comp.scroll is not None:
             if not comp.scroll.is_standard_form():
@@ -304,20 +303,17 @@ def validate(spec: TwoLinearSpec) -> ValidationReport:
                      f"minors of component {i} are not inside (P_{j})")
     conditions["e"] = ok_e
 
-    # (f): running intersection of the (Q_j) inside (P_k, D_{k-1})
+    # (f) by prime avoidance: some Q_j inside span(P_k, D_{k-1}), else the
+    # product of one form off the span from each Q_j is a witness
     ok_f = True
-    running: IdealHandle | None = None
     for k in range(2, spec.l + 1):
-        q_prev = spec.q_space(k - 1)
-        prev_handle = IdealHandle(spec.ring, q_prev)
-        running = prev_handle if running is None else intersect(running, prev_handle)
-        target = IdealHandle(spec.ring, spec.p(k) + spec.d_space(k - 1))
-        for g in running.generators:
-            if not target.contains(g):
-                ok_f = False
-                fail("f", (k,), str(g),
-                     f"intersection of (Q_1)..(Q_{k-1}) is not inside (P_{k}, D_{k-1})")
-                break
+        target = LinearSpan(spec.ring, spec.p(k) + spec.d_space(k - 1))
+        off = [next((g for g in spec.q_space(j) if not target.contains(g)), None)
+               for j in range(1, k)]
+        if all(g is not None for g in off):
+            ok_f = False
+            fail("f", (k,), str(math.prod(dict.fromkeys(off))),
+                 f"intersection of (Q_1)..(Q_{k-1}) is not inside (P_{k}, D_{k-1})")
     conditions["f"] = ok_f
 
     # hypothesis flags for the synthesis theorems

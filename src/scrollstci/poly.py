@@ -370,9 +370,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         return len({mono_deg(m) for m in self._terms}) <= 1
 
-    def is_constant(self) -> bool:
-        return all(mono_deg(m) == 0 for m in self._terms)
-
     def leading_monomial(self, order: TermOrder = DEGREVLEX) -> tuple:
         if not self._terms:
             raise ScrollstciError("zero polynomial has no leading monomial")
@@ -714,6 +711,8 @@ class _Parser:
 
 def parse(ring: Ring, text: str) -> Polynomial:
     """Parse polynomial text: '*' products, '^' powers, 'p/q' coefficients."""
+    if not isinstance(text, str):
+        raise TypeError(f"expected polynomial text, got {text!r}")
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty polynomial text")

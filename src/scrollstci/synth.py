@@ -115,9 +115,11 @@ def _greedy_complement(ring, candidates, inner, target_forms, what: str) -> list
 
 def tilde_decompose(spec: TwoLinearSpec) -> TildeData:
     """Build the tilde complements; hypotheses are re-validated first."""
-    report = linjoin.require_valid(spec, SynthesisError)
-    if not report.ara_hypotheses.synthesis_ok:
-        msgs = "; ".join(report.ara_hypotheses.failures)
+    hyp = linjoin.require_valid(spec, SynthesisError).ara_hypotheses
+    if not hyp.synthesis_ok:
+        msgs = "; ".join(hyp.failures)
+        if not hyp.single_block:
+            msgs += "; for multi-block scrolls use verify_generator_list / ara_upper_bound"
         raise SynthesisError(f"synthesis hypotheses unmet: {msgs}")
 
     ring = spec.ring
@@ -274,12 +276,6 @@ def synthesize(spec: TwoLinearSpec, verify: bool = True,
     ``linjoin.ara_upper_bound``).  A false oracle verdict is reported in the
     certificate, never raised.
     """
-    for i in range(1, spec.l + 1):
-        scroll = spec.component(i).scroll
-        if scroll is not None and len(scroll.blocks) > 1:
-            raise SynthesisError(
-                f"component {i}: multi-block scroll is outside the synthesis "
-                "hypotheses; use verify_generator_list / ara_upper_bound instead")
     tilde = tilde_decompose(spec)
 
     gens: list[Polynomial] = []

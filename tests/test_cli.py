@@ -187,6 +187,33 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+def test_wrongly_shaped_files_name_the_file_and_the_field(tmp_path, capsys):
+    spec = str(FIXTURES_DIR / "example-curve-1.json")
+    matrix_file = str(FIXTURES_DIR / "example-twisted-cubic.json")  # a list of lists
+    code, doc = invoke(capsys, "verify", spec, "--gens-file", matrix_file)
+    assert code == 2
+    assert doc["payload"]["message"] == (
+        f"malformed input in {matrix_file!r}: expected polynomial text, got [1, -2, 1, 0]")
+    barile = str(FIXTURES_DIR / "example-barile.json")  # a spec, not a scroll file
+    code, doc = invoke(capsys, "classify", barile)
+    assert code == 2
+    assert doc["payload"]["message"] == f"malformed input in {barile!r}: missing key 'blocks'"
+    code, doc = invoke(capsys, "radeq", spec, barile)  # specs, not ideal files
+    assert code == 2
+    assert doc["payload"]["message"] == f"malformed input in {spec!r}: missing key 'gens'"
+    odd = tmp_path / "odd.json"
+    # a component that is a string, not an object
+    odd.write_text(json.dumps({"ring": {"vars": ["x"]}, "components": ["x"]}))
+    code, doc = invoke(capsys, "validate", str(odd))
+    assert code == 2 and doc["payload"]["message"].startswith(f"malformed input in {str(odd)!r}")
+
+
+def test_synth_refuses_multi_block_specs(capsys):
+    code, doc = invoke(capsys, "synth", str(FIXTURES_DIR / "example-qprime.json"))
+    assert code == 2 and doc["status"] == "error"
+    assert "verify_generator_list / ara_upper_bound" in doc["payload"]["message"]
+
+
 def test_deep_nesting_is_an_error_not_a_verdict(tmp_path, capsys):
     nested = "(" * 5000 + "x" + ")" * 5000
     path = write_ideal(tmp_path, "deep.json", ["x"], [nested])

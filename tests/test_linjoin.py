@@ -1,8 +1,11 @@
 """Linearly joined specifications: validation, ideals, numerical invariants."""
 
+import random
+
 import pytest
 
-from scrollstci import fixtures
+from scrollstci import fixtures, linjoin, oracle
+from scrollstci.cli import run
 from scrollstci.linjoin import (
     ComponentSpec,
     SpecValidationError,
@@ -15,11 +18,11 @@ from scrollstci.linjoin import (
     projdim,
     validate,
 )
-from scrollstci.oracle import IdealHandle, ideal_member
-from scrollstci.poly import Ring, linear_span_dim, parse
+from scrollstci.oracle import IdealHandle, ideal_member, intersect
+from scrollstci.poly import QQ, Fp, Ring, linear_form, linear_span_dim, parse
 from scrollstci.scroll import ScrollBlock, ScrollMatrix
 
-from conftest import load_fixture_json
+from conftest import FIXTURES_DIR, load_fixture_json
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +111,7 @@ def test_condition_f_failure_reports_k(curve1):
     assert not report.ok
     f_failures = [f for f in report.failures if f.condition == "f"]
     assert f_failures and f_failures[0].indices == (4,)
+    assert f_failures[0].witness == "a*x"
     assert report.conditions["d"] and report.conditions["e"]
 
 
@@ -123,6 +127,85 @@ def test_condition_d_failure_witness():
     failed = [f for f in report.failures if f.condition == "d"]
     assert failed and failed[0].indices == (2,)
     assert failed[0].witness == "x0*x2 - x1^2"
+
+
+def _groebner_f_failures(spec):
+    """Condition (f) by the Groebner route: fold the intersection of the (Q_j),
+    then test each of its generators against (P_k, D_{k-1}).  Failing k."""
+    failing = []
+    running = None
+    for k in range(2, spec.l + 1):
+        prev = IdealHandle(spec.ring, spec.q_space(k - 1))
+        running = prev if running is None else intersect(running, prev)
+        target = IdealHandle(spec.ring, spec.p(k) + spec.d_space(k - 1))
+        if not all(target.contains(g) for g in running.generators):
+            failing.append(k)
+    return failing
+
+
+def _random_form(rng, ring):
+    while True:
+        coeffs = [0 if rng.random() < 0.6 else rng.choice((1, -1, 2))
+                  for _ in range(ring.arity)]
+        form = linear_form(ring, coeffs)
+        if not form.is_zero():
+            return form
+
+
+def _random_spec(rng):
+    n = rng.randint(3, 7)
+    ring = Ring(tuple(f"x{i}" for i in range(n)), rng.choice((QQ, Fp(2), Fp(3), Fp(7))))
+    comps = [ComponentSpec()]
+    for _ in range(rng.randint(1, 3)):
+        comps.append(ComponentSpec(
+            delta=tuple(_random_form(rng, ring) for _ in range(rng.randint(0, 2))),
+            p_forms=tuple(_random_form(rng, ring) for _ in range(rng.randint(0, 3)))))
+    return TwoLinearSpec(ring, tuple(comps))
+
+
+def test_condition_f_matches_the_groebner_route():
+    # (P_k, D_{k-1}) is prime, so prime avoidance reduces (f) to spans; the
+    # verdicts must agree with intersecting the (Q_j) and testing membership,
+    # and every witness must replay: inside each (Q_j), outside the prime
+    rng = random.Random(20261018)
+    failing_specs = passing_specs = 0
+    for _ in range(220):
+        spec = _random_spec(rng)
+        f_failures = [f for f in validate(spec).failures if f.condition == "f"]
+        assert [f.indices[0] for f in f_failures] == _groebner_f_failures(spec)
+        for failure in f_failures:
+            (k,) = failure.indices
+            w = parse(spec.ring, failure.witness)
+            for j in range(1, k):
+                assert IdealHandle(spec.ring, spec.q_space(j)).contains(w)
+            assert not IdealHandle(spec.ring, spec.p(k) + spec.d_space(k - 1)).contains(w)
+        failing_specs += bool(f_failures)
+        passing_specs += not f_failures
+    assert failing_specs >= 40 and passing_specs >= 40
+
+
+def test_validate_computes_no_groebner_basis(monkeypatch, curve1, curve2, qprime):
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate ran Buchberger")
+
+    monkeypatch.setattr(oracle, "_buchberger", refuse)
+    for spec in (curve1, curve2, qprime):
+        assert validate(spec).ok
+
+
+@pytest.mark.parametrize("command", ["validate", "ideal", "arabound", "synth"])
+def test_one_validation_per_command(monkeypatch, command):
+    calls = []
+    inner = linjoin.validate
+
+    def counting(spec):
+        calls.append(spec)
+        return inner(spec)
+
+    monkeypatch.setattr(linjoin, "validate", counting)
+    result = run([command, str(FIXTURES_DIR / "example-curve-1.json")])
+    assert result.status == "ok"
+    assert len(calls) == 1
 
 
 # --- component / full ideals -----------------------------------------------------
