@@ -73,6 +73,7 @@ from .lattice import (
     binomial,
     fiber_spec_check,
     lattice_ideal,
+    nonnegative_vector,
 )
 
 __version__ = "0.1.0"

@@ -70,11 +70,11 @@ def _with_field(doc, field: FieldSpec | None):
 
 
 def _from_file(path: str, build):
-    """``build`` applied to the JSON document at ``path``; a missing file, bad
-    JSON or a document of the wrong shape raises an error naming the file."""
+    """``build`` applied to the JSON document at ``path``; an unreadable file,
+    bad JSON or a bad document (shape or polynomial text) names the file."""
     try:
         doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
+    except (OSError, UnicodeDecodeError):
         raise ScrollstciError(f"unreadable file {path!r}")
     except json.JSONDecodeError as exc:
         raise ScrollstciError(f"bad JSON in {path!r}: {exc}")
@@ -82,7 +82,7 @@ def _from_file(path: str, build):
         return build(doc)
     except KeyError as exc:
         problem = f"missing key {exc.args[0]!r}"
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (ParseError, TypeError, ValueError, AttributeError) as exc:
         problem = str(exc)
     raise ScrollstciError(f"malformed input in {path!r}: {problem}")
 
@@ -261,10 +261,16 @@ def _cmd_synth(args) -> CommandResult:
     return CommandResult("ok" if certificate.verified else "false", payload, diagnostics)
 
 
+def _parse_list(ring: Ring, texts) -> list:
+    if not isinstance(texts, list):
+        raise TypeError("expected a JSON list of polynomial strings")
+    return [parse(ring, t) for t in texts]
+
+
 def _cmd_verify(args) -> CommandResult:
     spec = _load_spec(args.spec, _parse_field(args.field))
     if args.gens_file:
-        gens = _from_file(args.gens_file, lambda texts: [parse(spec.ring, t) for t in texts])
+        gens = _from_file(args.gens_file, lambda texts: _parse_list(spec.ring, texts))
     elif args.gens:
         gens = [parse(spec.ring, t) for t in args.gens.split(";") if t.strip()]
     else:
@@ -287,14 +293,11 @@ def _parse_basis(args) -> lattice_mod.LatticeBasis:
 
 def _cmd_lattice(args) -> CommandResult:
     basis = _parse_basis(args)
-    field = _parse_field(args.field) or FieldSpec("QQ")
-    if args.ring:
-        ring = Ring(tuple(v.strip() for v in args.ring.split(",") if v.strip()), field)
-    else:
-        ring = Ring(tuple(f"x{i}" for i in range(1, basis.r + 1)), field)
-    warnings = basis.screen_nonnegative()
+    ring = _ring_from_args(args, [f"x{i}" for i in range(1, basis.r + 1)])
     handle = lattice_mod.lattice_ideal(ring, basis)
-    return CommandResult("ok", {"ideal": handle.to_json()}, warnings)
+    u = lattice_mod.nonnegative_vector(handle)
+    diagnostics = [] if u is None else [f"lattice contains the nonnegative vector {u}"]
+    return CommandResult("ok", {"ideal": handle.to_json()}, diagnostics)
 
 
 def _cmd_fibercheck(args) -> CommandResult:
@@ -407,7 +410,7 @@ def run(argv) -> CommandResult:
     except OracleTimeout:
         return CommandResult("error", {"message": "timed out"},
                              [f"computation exceeded {args.timeout} seconds"])
-    except (ScrollstciError, ParseError) as exc:
+    except ScrollstciError as exc:
         return CommandResult("error", {"message": str(exc)})
     except (KeyError, ValueError, TypeError) as exc:
         return CommandResult("error", {"message": f"malformed input: {exc!r}"})

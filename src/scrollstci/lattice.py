@@ -2,9 +2,11 @@
 
 The ideal of a lattice L in Z^r is generated by the binomials
 x^{v+} - x^{v-} for every v in L; from a basis this is realized as the
-saturation of the basis binomials by the product of all variables.  The
-bridge back to the scroll world: the twisted-cubic basis yields exactly the
-minor ideal of a one-block scroll on four variables.
+saturation of the basis binomials by the product of all variables, which
+certifies its own Groebner basis; ``nonnegative_vector`` reads off that ideal
+whether L holds a nonzero nonnegative vector, exactly.  The bridge back to
+the scroll world: the twisted-cubic basis yields exactly the minor ideal of a
+one-block scroll on four variables.
 
 ``fiber_spec_check`` recognizes specifications with the shape that fiber
 cones of codimension-two lattice ideals take: one-block scrolls with distinct
@@ -16,10 +18,9 @@ statement on the instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 from .linjoin import TwoLinearSpec
-from .oracle import IdealHandle, ideal_member, saturate
+from .oracle import IdealHandle, saturate
 from .poly import Polynomial, Ring, ScrollstciError, is_variable
 
 
@@ -49,30 +50,6 @@ class LatticeBasis:
     def r(self) -> int:
         return len(self.vectors[0])
 
-    def combinations(self, bound: int = 2):
-        """All nonzero integer combinations with coefficients in [-bound, bound]."""
-        for coeffs in iter_product(range(-bound, bound + 1), repeat=len(self.vectors)):
-            if all(c == 0 for c in coeffs):
-                continue
-            vec = tuple(
-                sum(c * v[i] for c, v in zip(coeffs, self.vectors))
-                for i in range(self.r)
-            )
-            if any(x != 0 for x in vec):
-                yield vec
-
-    def screen_nonnegative(self, bound: int = 2) -> list[str]:
-        """Heuristic screen for the no-nonnegative-vectors hypothesis.
-
-        Checks the basis and bounded integer combinations only; a clean screen
-        is not a proof.  Violations are reported as warnings, never errors.
-        """
-        warnings = []
-        for vec in self.combinations(bound):
-            if all(x >= 0 for x in vec):
-                warnings.append(f"lattice contains the nonnegative vector {vec}")
-        return warnings
-
 
 def binomial(ring: Ring, v) -> Polynomial:
     """x^{v+} - x^{v-} for v = v+ - v- with disjoint nonnegative supports."""
@@ -86,26 +63,31 @@ def binomial(ring: Ring, v) -> Polynomial:
     return ring.monomial(plus) - ring.monomial(minus)
 
 
-def lattice_ideal(ring: Ring, basis: LatticeBasis, check: bool = True) -> IdealHandle:
-    """Saturation of the basis binomials by the product of all variables.
+def lattice_ideal(ring: Ring, basis: LatticeBasis) -> IdealHandle:
+    """I_L: the saturation of the basis binomials by the product of all variables.
 
-    With ``check`` set, membership of the binomials of all small integer
-    combinations of the basis (coefficients bounded by 2) is asserted; a
-    failure would indicate an engine defect, not bad input.
+    ``saturate`` certifies its Groebner basis, so the result contains the
+    binomial of every vector of L, not just of a sample of them.
     """
     if basis.r != ring.arity:
         raise LatticeError("basis length must equal the ring arity")
     gens = [binomial(ring, v) for v in basis.vectors]
-    allvars = ring.one()
-    for name in ring.variables:
-        allvars = allvars * ring.variable(name)
-    result = saturate(IdealHandle(ring, gens), allvars)
-    if check:
-        for w in basis.combinations(bound=2):
-            if not ideal_member(binomial(ring, w), result):
-                raise LatticeError(
-                    f"combination binomial for {w} escaped the saturation")
-    return result
+    return saturate(IdealHandle(ring, gens), ring.monomial((1,) * ring.arity))
+
+
+def nonnegative_vector(I: IdealHandle) -> tuple[int, ...] | None:
+    """A nonzero vector of L with no negative entry, read off I = lattice_ideal(L).
+
+    L holds such a vector u iff x^u - 1 lies in I_L, iff I_L is not inside
+    (x_1, ..., x_r), iff some generator of I has a nonzero constant term; the
+    reduced basis of a lattice ideal consists of binomials, so that generator
+    is x^u - 1.  None means L has no such vector.
+    """
+    one = (0,) * I.ring.arity
+    for g in I.generators:
+        if one in g.monomials():
+            return next(m for m in g.monomials() if m != one)
+    return None
 
 
 def fiber_spec_check(spec: TwoLinearSpec) -> bool:

@@ -42,7 +42,7 @@ from .poly import (
     is_linear_form,
     linear_span_dim,
 )
-from .scroll import ScrollBlock, ScrollMatrix, classify_modulo, scroll_ara_facts
+from .scroll import ScrollMatrix, classify_modulo, scroll_ara_facts
 
 
 class SpecValidationError(ScrollstciError):
@@ -175,13 +175,16 @@ class AraHypotheses:
     ``rows_in_delta``: for i >= 2, some row of B_i lies in span(Delta_i).
     ``rows_in_p``: for i < j, some row of B_i lies in span(P_j).
     The row flags alone are the hypotheses of the summed upper bound; all
-    three together are the hypotheses of exact synthesis.
+    three together are the hypotheses of exact synthesis.  ``delta_rows[i]``
+    and ``p_rows[i, j]`` hold the row found (1 or 2, else None); not in JSON.
     """
 
     single_block: bool = True
     rows_in_delta: bool = True
     rows_in_p: bool = True
     failures: list[str] = dc_field(default_factory=list)
+    delta_rows: dict[int, int | None] = dc_field(default_factory=dict)
+    p_rows: dict[tuple[int, int], int | None] = dc_field(default_factory=dict)
 
     @property
     def synthesis_ok(self) -> bool:
@@ -220,8 +223,7 @@ def _scroll_has_minors(scroll: ScrollMatrix | None) -> bool:
     return scroll is not None and scroll.ncols >= 2
 
 
-def _row_in_span(scroll: ScrollMatrix | ScrollBlock,
-                 forms: Sequence[Polynomial]) -> int | None:
+def _row_in_span(scroll: ScrollMatrix, forms: Sequence[Polynomial]) -> int | None:
     """1-based index of a full row inside span(forms), preferring row 1."""
     span = LinearSpan(scroll.ring, forms)
     for which in (1, 2):
@@ -327,11 +329,14 @@ def validate(spec: TwoLinearSpec) -> ValidationReport:
             hyp.failures.append(f"component {i}: scroll has {len(scroll.blocks)} blocks")
         if not _scroll_has_minors(scroll):
             continue
-        if i >= 2 and _row_in_span(scroll, spec.delta(i)) is None:
-            hyp.rows_in_delta = False
-            hyp.failures.append(f"component {i}: no scroll row inside (Delta_{i})")
+        if i >= 2:
+            hyp.delta_rows[i] = _row_in_span(scroll, spec.delta(i))
+            if hyp.delta_rows[i] is None:
+                hyp.rows_in_delta = False
+                hyp.failures.append(f"component {i}: no scroll row inside (Delta_{i})")
         for j in range(i + 1, spec.l + 1):
-            if _row_in_span(scroll, spec.p(j)) is None:
+            hyp.p_rows[i, j] = _row_in_span(scroll, spec.p(j))
+            if hyp.p_rows[i, j] is None:
                 hyp.rows_in_p = False
                 hyp.failures.append(f"component {i}: no scroll row inside (P_{j})")
 

@@ -10,7 +10,7 @@ radical chain (the Schmitt-Vogel device behind Verdi's generators).  To put
 f_1, ..., f_n in rad(I) it grows an ideal H, starting at H = I, and certifies
 links f_j^{k_j} in H, each a plain normal-form test; generators certified
 with k_j > 1 join H in batches, so later links may use them, and
-rad(H) = rad(I) throughout.  A generator no power up to the witness bound
+rad(H) = rad(I) throughout.  A generator no power up to ``_WITNESS_BOUND``
 closes is decided by the Rabinowitsch trick (1 in H + (1 - t*f_j)) against
 the current H: that is the fallback for long links and the only route to a
 negative verdict.
@@ -30,6 +30,7 @@ task) that set it: a new thread starts with no deadline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .poly import (
     _DEADLINE,
@@ -369,6 +370,7 @@ def _rabinowitsch_contains(I: IdealHandle, f: Polynomial) -> bool:
 
 
 _RABINOWITSCH = "Rabinowitsch"
+_WITNESS_BOUND = 8
 
 
 def _extend(H: IdealHandle, polys: list[Polynomial]) -> IdealHandle:
@@ -381,12 +383,12 @@ def _extend(H: IdealHandle, polys: list[Polynomial]) -> IdealHandle:
     return out
 
 
-def _radical_chain(gens, I: IdealHandle, witness_bound: int = 8):
+def _radical_chain(gens, I: IdealHandle):
     """Certify every generator in rad(I), link by link; None if one is not in it.
 
     Returns the links ``(g, k)`` with g^k in I + (generators certified
     before g), or ``(g, "Rabinowitsch")`` when only the Rabinowitsch trick
-    closed g, in the order they were certified.  Levels k = 1..witness_bound
+    closed g, in the order they were certified.  Levels k = 1.._WITNESS_BOUND
     are swept over all open generators; those closed at some k > 1 join H in
     one batch while others stay open, and the open ones restart at k = 1.
     (A generator closed at k = 1 already lies in H.)  When a whole sweep
@@ -398,7 +400,7 @@ def _radical_chain(gens, I: IdealHandle, witness_bound: int = 8):
     while pending:
         powers = list(pending)
         closed = []
-        for k in range(1, witness_bound + 1):
+        for k in range(1, _WITNESS_BOUND + 1):
             if k > 1:
                 powers = [p * g for g, p in zip(pending, powers)]
             still, still_powers = [], []
@@ -427,13 +429,13 @@ def _radical_chain(gens, I: IdealHandle, witness_bound: int = 8):
     return links
 
 
-def radical_member(f: Polynomial, I: IdealHandle, witness_bound: int = 8) -> RadicalCertificate:
+def radical_member(f: Polynomial, I: IdealHandle) -> RadicalCertificate:
     """Decide f in rad(I): the radical chain of the single generator f."""
     if f.ring != I.ring:
         raise RingMismatchError("polynomial lives in a different ring")
     if f.is_zero():
         return RadicalCertificate(True, witness_k=1)
-    links = _radical_chain([f], I, witness_bound)
+    links = _radical_chain([f], I)
     if links is None:
         return RadicalCertificate(False, rabinowitsch=True)
     (_, k), = links
@@ -464,8 +466,21 @@ def eliminate(I: IdealHandle, variables) -> IdealHandle:
     return IdealHandle(target, kept)
 
 
+def _certify(seeds: list[dict], basis: list[dict], keyf, field) -> None:
+    """Raise unless the monic ``basis``, built from ``seeds``, is a Groebner
+    basis of (seeds): Buchberger's criterion, replayed by plain reductions of
+    every seed and of the S-polynomial of every pair of basis elements whose
+    leading monomials are not coprime.  A failure is an engine defect."""
+    reducers = sorted(((max(p, key=keyf), p) for p in basis), key=lambda t: keyf(t[0]))
+    spolys = (_spoly(f, lmf, g, lmg, field) for i, (lmf, f) in enumerate(reducers)
+              for lmg, g in reducers[i + 1:] if not mono_coprime(lmf, lmg))
+    if any(_reduce_full(p, reducers, keyf, field) for p in chain(seeds, spolys)):
+        raise ScrollstciError("Groebner basis failed its Buchberger-criterion replay")
+
+
 def saturate(I: IdealHandle, f: Polynomial) -> IdealHandle:
-    """I : f^infinity, by eliminating t from I + (1 - t*f)."""
+    """I : f^infinity: the t-free part of the basis of I + (1 - t*f) in
+    ``block_order(1)`` (t is the first variable), certified by ``_certify``."""
     if f.ring != I.ring:
         raise RingMismatchError("polynomial lives in a different ring")
     if f.is_zero():
@@ -473,10 +488,13 @@ def saturate(I: IdealHandle, f: Polynomial) -> IdealHandle:
     ring = I.ring
     tname = ring.fresh_name("t")
     ext = ring.extended([tname])
-    gens = [transport(g, ext) for g in I.generators]
-    gens.append(ext.one() - ext.variable(tname) * transport(f, ext))
-    out = eliminate(IdealHandle(ext, gens), [tname])
-    return IdealHandle(ring, [transport(g, ring) for g in out.generators])
+    rab = ext.one() - ext.variable(tname) * transport(f, ext)
+    seeds = [dict(transport(g, ext)._terms) for g in I.generators] + [dict(rab._terms)]
+    order = block_order(1)
+    basis = _buchberger(seeds, ext.arity, order, ext.field)
+    _certify(seeds, basis, order.key(), ext.field)
+    return IdealHandle(ring, [transport(Polynomial._make(ext, p), ring)
+                              for p in basis if all(m[0] == 0 for m in p)])
 
 
 def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:

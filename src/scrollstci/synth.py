@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linjoin
-from .linjoin import TwoLinearSpec, _row_in_span, intersection_ideal
+from .linjoin import TwoLinearSpec, intersection_ideal
 from .oracle import IdealHandle, radical_equal
 from .poly import LinearSpan, Polynomial, RingMismatchError, ScrollstciError, linear_span_dim
 from .scroll import ScrollBlock, verdi_generators
@@ -80,14 +80,6 @@ def _single_block(spec: TwoLinearSpec, i: int) -> ScrollBlock | None:
     if scroll is None or scroll.ncols < 2:
         return None
     return scroll.blocks[0]
-
-
-def _corner(block: ScrollBlock, forms, message: str) -> Polynomial:
-    """Corner of a block row inside span(forms), preferring row 1 and so L0."""
-    which = _row_in_span(block, forms)
-    if which is None:
-        raise SynthesisError(message)
-    return block.corners[which - 1]
 
 
 def _greedy_complement(ring, candidates, inner, target_forms, what: str) -> list[Polynomial]:
@@ -138,7 +130,7 @@ def tilde_decompose(spec: TwoLinearSpec) -> TildeData:
         inner = inner_spans[j - 1]
         corner = None
         if block is not None and block.c >= 1:
-            corner = _corner(block, delta, "no block row inside the required span")
+            corner = block.corners[hyp.delta_rows[j] - 1]
         if comp.tilde_delta is not None:
             chosen = list(comp.tilde_delta)
             _check_override(ring, chosen, inner, delta, f"tildeDelta_{j}")
@@ -167,8 +159,7 @@ def tilde_decompose(spec: TwoLinearSpec) -> TildeData:
             if block is None or block.c < 1:
                 continue
             inner.extend(inner_spans[i - 1])
-            corners.append(_corner(
-                block, p, f"no row of block {i} inside span(P_{j}): no corner available"))
+            corners.append(block.corners[hyp.p_rows[i, j] - 1])
         if comp.tilde_p is not None:
             chosen = list(comp.tilde_p)
             _check_override(ring, chosen, inner, p, f"tildeP_{j}")

@@ -165,7 +165,15 @@ def test_lattice(capsys):
     gens = doc["payload"]["ideal"]["gens"]
     assert len(gens) == 3
     code, doc = invoke(capsys, "lattice", "--basis", "1,0;0,1")
-    assert code == 0 and doc["diagnostics"]
+    assert code == 0 and doc["diagnostics"] == ["lattice contains the nonnegative vector (1, 0)"]
+
+
+def test_lattice_names_a_nonnegative_vector_no_small_combination_shows(capsys):
+    # (1, 0) = 3*(3, -1) + (-8, 3), so the lattice is Z^2
+    code, doc = invoke(capsys, "lattice", "--basis", "3,-1;-8,3")
+    assert code == 0
+    assert doc["payload"]["ideal"]["gens"] == ["x1 - 1", "x2 - 1"]
+    assert doc["diagnostics"] == ["lattice contains the nonnegative vector (1, 0)"]
 
 
 def test_fibercheck(capsys):
@@ -206,6 +214,32 @@ def test_wrongly_shaped_files_name_the_file_and_the_field(tmp_path, capsys):
     odd.write_text(json.dumps({"ring": {"vars": ["x"]}, "components": ["x"]}))
     code, doc = invoke(capsys, "validate", str(odd))
     assert code == 2 and doc["payload"]["message"].startswith(f"malformed input in {str(odd)!r}")
+
+
+def test_parse_error_in_a_file_names_the_file(tmp_path, capsys):
+    path = write_ideal(tmp_path, "q.json", ["x"], ["x + q"])
+    code, doc = invoke(capsys, "gb", path)
+    assert code == 2
+    assert doc["payload"]["message"] == f"malformed input in {path!r}: unknown variable 'q'"
+
+
+def test_gens_file_must_hold_a_list(capsys):
+    spec = str(FIXTURES_DIR / "example-curve-1.json")
+    other = str(FIXTURES_DIR / "example-curve-2.json")  # a spec object, not a list
+    code, doc = invoke(capsys, "verify", spec, "--gens-file", other)
+    assert code == 2
+    assert doc["payload"]["message"] == (
+        f"malformed input in {other!r}: expected a JSON list of polynomial strings")
+
+
+def test_unreadable_path_is_bad_input(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    for path in (str(tmp_path), str(binary)):  # a directory, then undecodable bytes
+        code, doc = invoke(capsys, "gb", path)
+        assert code == 2
+        assert doc["payload"]["message"] == f"unreadable file {path!r}"
+        assert doc["diagnostics"] == []
 
 
 def test_synth_refuses_multi_block_specs(capsys):

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from scrollstci import oracle
 from scrollstci.oracle import (
     IdealHandle,
     OracleTimeout,
@@ -22,7 +23,7 @@ from scrollstci.oracle import (
     saturate,
     time_limit,
 )
-from scrollstci.poly import LEX, QQ, Fp, Ring, RingMismatchError, parse
+from scrollstci.poly import LEX, QQ, Fp, Ring, RingMismatchError, ScrollstciError, parse
 from scrollstci.scroll import ScrollBlock, minors_2x2, verdi_generators
 
 R2 = Ring(("x", "y"))
@@ -196,13 +197,13 @@ def test_radical_member_agrees_with_power_oracle():
             assert found is not None
 
 
-def test_witness_decoration_with_tight_bound():
-    # x in rad(x^5): witness 5 found only when the bound allows it
-    I = ideal(R2, "x^5")
-    loose = radical_member(parse(R2, "x"), I, witness_bound=8)
-    assert loose.member and loose.witness_k == 5 and not loose.rabinowitsch
-    tight = radical_member(parse(R2, "x"), I, witness_bound=2)
-    assert tight.member and tight.witness_k is None and tight.rabinowitsch
+def test_witness_decoration_at_the_fixed_bound():
+    # x in rad(x^5): the witness 5 lies within the fixed bound of 8
+    five = radical_member(parse(R2, "x"), ideal(R2, "x^5"))
+    assert five.member and five.witness_k == 5 and not five.rabinowitsch
+    # x in rad(x^9): no power up to the bound closes, so Rabinowitsch decides
+    nine = radical_member(parse(R2, "x"), ideal(R2, "x^9"))
+    assert nine.member and nine.witness_k is None and nine.rabinowitsch
 
 
 # --- radical chain -----------------------------------------------------------------
@@ -355,6 +356,22 @@ def test_saturate_contains_ideal_and_quotient_property():
         g = rng.randint(-2, 2) * R2.monomial(rng.choice(monos))
         if ideal_member(f * g, I):
             assert ideal_member(g, S)
+
+
+def test_saturate_refuses_a_basis_that_fails_buchbergers_criterion(monkeypatch):
+    # an engine that forgets the S-pairs of late basis elements returns a
+    # basis that is not Groebner; replaying Buchberger's criterion catches it
+    real_update = oracle._update
+
+    def lossy_update(G, B, ih, lms):
+        G_new, B_new = real_update(G, B, ih, lms)
+        return G_new, (B_new & B if ih >= 3 else B_new)
+
+    monkeypatch.setattr(oracle, "_update", lossy_update)
+    ring = Ring(("x1", "x2", "x3", "x4"))
+    I = ideal(ring, "x1*x3 - x2^2", "x2*x4 - x3^2")
+    with pytest.raises(ScrollstciError, match="Buchberger-criterion replay"):
+        saturate(I, parse(ring, "x1*x2*x3*x4"))
 
 
 def test_saturate_by_zero_rejected():
