@@ -9,6 +9,7 @@ Groebner computations have no a priori time bound; ``--timeout`` (or the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -261,16 +262,17 @@ def _cmd_synth(args) -> CommandResult:
     return CommandResult("ok" if certificate.verified else "false", payload, diagnostics)
 
 
-def _parse_list(ring: Ring, texts) -> list:
-    if not isinstance(texts, list):
-        raise TypeError("expected a JSON list of polynomial strings")
-    return [parse(ring, t) for t in texts]
+def _json_list(doc, what: str) -> list:
+    if not isinstance(doc, list):
+        raise TypeError(f"expected a JSON list of {what}")
+    return doc
 
 
 def _cmd_verify(args) -> CommandResult:
     spec = _load_spec(args.spec, _parse_field(args.field))
     if args.gens_file:
-        gens = _from_file(args.gens_file, lambda texts: _parse_list(spec.ring, texts))
+        gens = _from_file(args.gens_file, lambda doc: [
+            parse(spec.ring, t) for t in _json_list(doc, "polynomial strings")])
     elif args.gens:
         gens = [parse(spec.ring, t) for t in args.gens.split(";") if t.strip()]
     else:
@@ -282,7 +284,8 @@ def _cmd_verify(args) -> CommandResult:
 
 def _parse_basis(args) -> lattice_mod.LatticeBasis:
     if args.basis_file:
-        return _from_file(args.basis_file, lattice_mod.LatticeBasis)
+        return _from_file(args.basis_file, lambda doc: lattice_mod.LatticeBasis(
+            _json_list(doc, "integer vectors")))
     if args.basis:
         return lattice_mod.LatticeBasis([
             [int(x) for x in row.split(",") if x.strip()]
@@ -306,14 +309,15 @@ def _cmd_fibercheck(args) -> CommandResult:
     return CommandResult("ok" if verdict else "false", {"fiber_shape": verdict})
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="scrollstci",
         description="Exact certification toolkit for scroll determinantal ideals, "
                     "linearly joined decompositions, and lattice ideals.")
     parser.add_argument("--field", help="ground field: QQ (default) or Fp=p")
     parser.add_argument("--timeout", type=float,
-                        default=float(os.environ.get("SCROLLSTCI_TIMEOUT", "300")),
                         help="abort Groebner runs after SECONDS (default 300)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -398,18 +402,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> CommandResult:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return CommandResult("error", {"message": "bad arguments"},
                              [f"argparse exited with {exc.code}"])
+    timeout = args.timeout
     try:
-        with time_limit(args.timeout):
+        if timeout is None:  # read here, not when the shared parser was built
+            timeout = float(os.environ.get("SCROLLSTCI_TIMEOUT", "300"))
+        with time_limit(timeout):
             return args.handler(args)
     except OracleTimeout:
         return CommandResult("error", {"message": "timed out"},
-                             [f"computation exceeded {args.timeout} seconds"])
+                             [f"computation exceeded {timeout} seconds"])
     except ScrollstciError as exc:
         return CommandResult("error", {"message": str(exc)})
     except (KeyError, ValueError, TypeError) as exc:

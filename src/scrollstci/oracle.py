@@ -1,9 +1,16 @@
 """Groebner-basis certification engine.
 
 Reduced Groebner bases via Buchberger's algorithm with the Gebauer-Moeller
-pair criteria and a degree-graded pair queue, and the ideal predicates built
-on top: membership, radical membership, intersection, elimination,
+pair criteria (Gebauer & Moeller, JSC 6, 1988), and the ideal predicates
+built on top: membership, radical membership, intersection, elimination,
 saturation, and radical equality.
+
+The two kernels keep their state rather than recompute it.  Pending pairs
+map to the lcm of their leading monomials, computed once when the pair is
+created, and a heap hands out the pair with the least (order key of the lcm,
+pair); pairs the criteria drop later stay in the heap and are skipped when
+popped.  A normal form keeps the terms still to reduce in a heap, largest
+first, so taking the leading term costs a logarithm, not a scan of them all.
 
 Radical membership and radical equality share one witness search, the
 radical chain (the Schmitt-Vogel device behind Verdi's generators).  To put
@@ -20,8 +27,10 @@ the engine favours exactness and determinism over asymptotics.  The reduced
 basis is unique per (ideal, order); recomputation or permuting generators
 yields the identical result.
 
-`IdealHandle` caches one reduced basis per term order; a cache entry is
-written once and never mutated, so concurrent readers are safe and concurrent
+`IdealHandle` caches one reduced basis per term order and, next to it, the
+sorted reducer list its normal forms use, which shares the basis
+polynomials' term dicts.  A cache entry is written once and never mutated,
+nor are the shared dicts, so concurrent readers are safe and concurrent
 first computations merely duplicate work.  The deadline set by `time_limit`
 (see `poly`) lives in a context variable, so it bounds only the thread (or
 task) that set it: a new thread starts with no deadline.
@@ -30,7 +39,9 @@ task) that set it: a new thread starts with no deadline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import chain
+from operator import sub
 
 from .poly import (
     _DEADLINE,
@@ -63,39 +74,47 @@ def _monic(p: dict, lm: tuple, field) -> dict:
     return {m: field.mul(inv, v) for m, v in p.items()}
 
 
-def _reduce_full(p: dict, reducers: list[tuple[tuple, dict]], keyf, field) -> dict:
+def _reduce_full(p: dict, reducers: list[tuple[tuple, dict]], order: TermOrder, field) -> dict:
     """Full normal form of p modulo monic reducers (every term reduced).
 
-    Terms enter the result in descending order, so its first key is its
-    leading monomial.
+    ``reducers`` are ``(lm, poly)`` pairs in ascending order of ``lm``; each
+    term is reduced by the first whose ``lm`` divides it.  The terms still to
+    reduce sit in a heap, largest first, each pushed when it enters ``work``;
+    a popped term no longer in ``work`` has cancelled and is skipped.  Terms
+    enter the result in descending order, so its first key is its leading
+    monomial.
     """
+    dkey = order.descending_key()
     work = dict(p)
+    heap = [(dkey(m), m) for m in work]
+    heapify(heap)
     out: dict = {}
-    fsub, fmul = field.sub, field.mul
+    fsub, fmul, zero = field.sub, field.mul, field.zero
     deadline = _DEADLINE.get()
-    while work:
+    while heap:
         _check_deadline(deadline)
-        m = max(work, key=keyf)
-        c = work.pop(m)
-        hit = None
+        m = heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
         for lm, g in reducers:
             if mono_divides(lm, m):
-                hit = (lm, g)
                 break
-        if hit is None:
+        else:
             out[m] = c
             continue
-        lm, g = hit
-        shift = tuple(a - b for a, b in zip(m, lm))
+        shift = tuple(map(sub, m, lm))
         for mg, cg in g.items():
             if mg == lm:
                 continue
             tm = mono_mul(mg, shift)
             acc = work.get(tm)
-            s = fsub(acc, fmul(c, cg)) if acc is not None else fsub(field.zero, fmul(c, cg))
+            s = fsub(acc if acc is not None else zero, fmul(c, cg))
             if s == 0:
                 work.pop(tm, None)
             else:
+                if acc is None:
+                    heappush(heap, (dkey(tm), tm))
                 work[tm] = s
     return out
 
@@ -120,40 +139,38 @@ def _spoly(f: dict, lmf: tuple, g: dict, lmg: tuple, field) -> dict:
     return out
 
 
-def _update(G: set, B: set, ih: int, lms: list) -> tuple[set, set]:
-    """Gebauer-Moeller pair update when basis element ``ih`` arrives."""
+def _update(G: set, B: dict, ih: int, lms: list) -> tuple[set, dict]:
+    """Gebauer-Moeller pair update when basis element ``ih`` arrives.
+
+    ``B`` maps each pair to the lcm of its leading monomials, computed once
+    when the pair is created.
+    """
     mh = lms[ih]
+    lcm_h = {ig: mono_lcm(mh, lms[ig]) for ig in G}
     C = set(G)
-    D: set = set()
+    D: dict = {}
     while C:
         ig = C.pop()
-        lcm_hg = mono_lcm(mh, lms[ig])
-
-        def lcm_divides(ip):
-            return mono_divides(mono_lcm(mh, lms[ip]), lcm_hg)
-
-        if mono_mul(mh, lms[ig]) == lcm_hg or (
-            not any(lcm_divides(ip) for ip in C)
-            and not any(lcm_divides(pr[1]) for pr in D)
+        lcm_hg = lcm_h[ig]
+        if mono_coprime(mh, lms[ig]) or (
+            not any(mono_divides(lcm_h[ip], lcm_hg) for ip in C)
+            and not any(mono_divides(lcm, lcm_hg) for lcm in D.values())
         ):
-            D.add((ih, ig))
-    E = {(i, j) for (i, j) in D if mono_mul(mh, lms[j]) != mono_lcm(mh, lms[j])}
-    B_new = set()
-    for (i1, i2) in B:
-        lcm12 = mono_lcm(lms[i1], lms[i2])
-        if (
-            not mono_divides(mh, lcm12)
-            or mono_lcm(lms[i1], mh) == lcm12
-            or mono_lcm(lms[i2], mh) == lcm12
-        ):
-            B_new.add((i1, i2))
-    B_new |= E
+            D[(ih, ig)] = lcm_hg
+    B_new = {
+        (i1, i2): lcm12 for (i1, i2), lcm12 in B.items()
+        if not mono_divides(mh, lcm12)
+        or mono_lcm(lms[i1], mh) == lcm12
+        or mono_lcm(lms[i2], mh) == lcm12
+    }
+    B_new.update((pr, lcm) for pr, lcm in D.items() if not mono_coprime(mh, lms[pr[1]]))
     G_new = {ig for ig in G if not mono_divides(mh, lms[ig])}
     G_new.add(ih)
     return G_new, B_new
 
 
-def _interreduce(pairs: list[tuple[tuple, dict]], keyf, field) -> list[tuple[tuple, dict]]:
+def _interreduce(pairs: list[tuple[tuple, dict]], order: TermOrder,
+                 field) -> list[tuple[tuple, dict]]:
     """Autoreduce ``(lm, poly)`` pairs until a whole pass keeps every leading monomial.
 
     Zeros are dropped, every element is made monic, and the pairs come back in
@@ -162,13 +179,14 @@ def _interreduce(pairs: list[tuple[tuple, dict]], keyf, field) -> list[tuple[tup
     Groebner basis the result is the unique reduced basis; on a minimal one
     (no leading monomial divides another) it takes a single pass.
     """
+    keyf = order.key()
     current = sorted(((lm, _monic(p, lm, field)) for lm, p in pairs), key=lambda t: keyf(t[0]))
     while True:
         changed = False
         done: list[tuple[tuple, dict]] = []
         for i, (lm, p) in enumerate(current):
             reducers = sorted(done + current[i + 1:], key=lambda t: keyf(t[0]))
-            r = _reduce_full(p, reducers, keyf, field)
+            r = _reduce_full(p, reducers, order, field)
             if not r:
                 changed = True
                 continue
@@ -204,7 +222,7 @@ def _buchberger(seeds: list[dict], arity: int, order: TermOrder, field,
             return list(unit)
         (prefix if i < gb_prefix else rest).append((lm, s))
     if gb_prefix == 0:
-        rest = _interreduce(rest, keyf, field)
+        rest = _interreduce(rest, order, field)
         if any(lm == one_mono for lm, _ in rest):
             return list(unit)
     start = [(lm, _monic(p, lm, field)) for lm, p in prefix + rest]
@@ -215,7 +233,7 @@ def _buchberger(seeds: list[dict], arity: int, order: TermOrder, field,
     lms: list[tuple] = []
     prefix_ids: set[int] = set()
     G: set = set()
-    B: set = set()
+    B: dict = {}
     insert_order = sorted(range(len(start)), key=lambda i: keyf(start[i][0]))
     for i in insert_order:
         idx = len(polys)
@@ -225,20 +243,26 @@ def _buchberger(seeds: list[dict], arity: int, order: TermOrder, field,
             prefix_ids.add(idx)
         G, B = _update(G, B, idx, lms)
     if prefix_ids:
-        B = {(i, j) for (i, j) in B if not (i in prefix_ids and j in prefix_ids)}
+        B = {pr: lcm for pr, lcm in B.items()
+             if not (pr[0] in prefix_ids and pr[1] in prefix_ids)}
 
+    # the next pair is the least (key of its lcm, pair); pairs that _update
+    # dropped stay in the heap and are skipped when popped
+    queue = [(keyf(lcm), pr) for pr, lcm in B.items()]
+    heapify(queue)
+    reducers = None  # sorted by leading monomial; rebuilt only after G changes
     deadline = _DEADLINE.get()
-    while B:
+    while queue:
         _check_deadline(deadline)
-        i, j = min(B, key=lambda pr: (keyf(mono_lcm(lms[pr[0]], lms[pr[1]])), pr))
-        B.discard((i, j))
-        if mono_coprime(lms[i], lms[j]):
+        i, j = pr = heappop(queue)[1]
+        if B.pop(pr, None) is None:
             continue
         s = _spoly(polys[i], lms[i], polys[j], lms[j], field)
         if not s:
             continue
-        reducers = sorted(((lms[g], polys[g]) for g in G), key=lambda t: keyf(t[0]))
-        h = _reduce_full(s, reducers, keyf, field)
+        if reducers is None:
+            reducers = sorted(((lms[g], polys[g]) for g in G), key=lambda t: keyf(t[0]))
+        h = _reduce_full(s, reducers, order, field)
         if not h:
             continue
         lm = next(iter(h))
@@ -248,8 +272,12 @@ def _buchberger(seeds: list[dict], arity: int, order: TermOrder, field,
         polys.append(_monic(h, lm, field))
         lms.append(lm)
         G, B = _update(G, B, idx, lms)
+        for pr, lcm in B.items():
+            if pr[0] == idx:
+                heappush(queue, (keyf(lcm), pr))
+        reducers = None
 
-    return [p for _, p in _interreduce([(lms[g], polys[g]) for g in G], keyf, field)]
+    return [p for _, p in _interreduce([(lms[g], polys[g]) for g in G], order, field)]
 
 
 # --- public API -----------------------------------------------------------------
@@ -272,6 +300,7 @@ class IdealHandle:
             gens.append(g)
         self.generators: tuple[Polynomial, ...] = tuple(gens)
         self._cache: dict[TermOrder, tuple[Polynomial, ...]] = {}
+        self._reducers: dict[TermOrder, list[tuple[tuple, dict]]] = {}
 
     def groebner_basis(self, order: TermOrder = DEGREVLEX) -> tuple[Polynomial, ...]:
         cached = self._cache.get(order)
@@ -286,13 +315,15 @@ class IdealHandle:
     def normal_form(self, f: Polynomial, order: TermOrder = DEGREVLEX) -> Polynomial:
         if f.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
-        keyf = order.key()
-        gb = self.groebner_basis(order)
-        reducers = sorted(
-            ((g.leading_monomial(order), dict(g._terms)) for g in gb),
-            key=lambda t: keyf(t[0]),
-        )
-        r = _reduce_full(dict(f._terms), reducers, keyf, self.ring.field)
+        reducers = self._reducers.get(order)
+        if reducers is None:
+            # written once, like the basis cache; it shares the basis's term dicts
+            keyf = order.key()
+            reducers = sorted(((g.leading_monomial(order), g._terms)
+                               for g in self.groebner_basis(order)),
+                              key=lambda t: keyf(t[0]))
+            reducers = self._reducers.setdefault(order, reducers)
+        r = _reduce_full(f._terms, reducers, order, self.ring.field)
         return Polynomial._make(self.ring, r)
 
     def contains(self, f: Polynomial) -> bool:
@@ -466,15 +497,16 @@ def eliminate(I: IdealHandle, variables) -> IdealHandle:
     return IdealHandle(target, kept)
 
 
-def _certify(seeds: list[dict], basis: list[dict], keyf, field) -> None:
+def _certify(seeds: list[dict], basis: list[dict], order: TermOrder, field) -> None:
     """Raise unless the monic ``basis``, built from ``seeds``, is a Groebner
     basis of (seeds): Buchberger's criterion, replayed by plain reductions of
     every seed and of the S-polynomial of every pair of basis elements whose
     leading monomials are not coprime.  A failure is an engine defect."""
+    keyf = order.key()
     reducers = sorted(((max(p, key=keyf), p) for p in basis), key=lambda t: keyf(t[0]))
     spolys = (_spoly(f, lmf, g, lmg, field) for i, (lmf, f) in enumerate(reducers)
               for lmg, g in reducers[i + 1:] if not mono_coprime(lmf, lmg))
-    if any(_reduce_full(p, reducers, keyf, field) for p in chain(seeds, spolys)):
+    if any(_reduce_full(p, reducers, order, field) for p in chain(seeds, spolys)):
         raise ScrollstciError("Groebner basis failed its Buchberger-criterion replay")
 
 
@@ -492,7 +524,7 @@ def saturate(I: IdealHandle, f: Polynomial) -> IdealHandle:
     seeds = [dict(transport(g, ext)._terms) for g in I.generators] + [dict(rab._terms)]
     order = block_order(1)
     basis = _buchberger(seeds, ext.arity, order, ext.field)
-    _certify(seeds, basis, order.key(), ext.field)
+    _certify(seeds, basis, order, ext.field)
     return IdealHandle(ring, [transport(Polynomial._make(ext, p), ring)
                               for p in basis if all(m[0] == 0 for m in p)])
 

@@ -25,6 +25,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, neg
 from typing import Callable, Iterable, Mapping, Sequence
 
 
@@ -241,19 +242,19 @@ class Ring:
 # --- monomials (plain exponent tuples) --------------------------------------
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 def mono_divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 def mono_deg(a: tuple) -> int:
     return sum(a)
 
 def mono_coprime(a: tuple, b: tuple) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    return not any(map(min, a, b))
 
 
 @dataclass(frozen=True)
@@ -282,9 +283,21 @@ class TermOrder:
         if self.kind == "deglex":
             return lambda m: (sum(m), m)
         if self.kind == "degrevlex":
-            return lambda m: (sum(m), tuple(-e for e in reversed(m)))
+            return lambda m: (sum(m), tuple(map(neg, reversed(m))))
         k = self.block
-        return lambda m: (m[:k], sum(m[k:]), tuple(-e for e in reversed(m[k:])))
+        return lambda m: (m[:k], sum(m[k:]), tuple(map(neg, reversed(m[k:]))))
+
+    def descending_key(self) -> Callable[[tuple], object]:
+        """A key that ranks the largest monomial first: it compares two
+        monomials the other way round from ``key``, as a heap needs."""
+        if self.kind == "lex":
+            return lambda m: tuple(map(neg, m))
+        if self.kind == "deglex":
+            return lambda m: (-sum(m), tuple(map(neg, m)))
+        if self.kind == "degrevlex":
+            return lambda m: (-sum(m), m[::-1])
+        k = self.block
+        return lambda m: (tuple(map(neg, m[:k])), -sum(m[k:]), m[k:][::-1])
 
     def __str__(self) -> str:
         return f"block:{self.block}" if self.kind == "block" else self.kind

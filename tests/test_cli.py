@@ -232,6 +232,15 @@ def test_gens_file_must_hold_a_list(capsys):
         f"malformed input in {other!r}: expected a JSON list of polynomial strings")
 
 
+def test_basis_file_must_hold_a_list(tmp_path, capsys):
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps({"vectors": [[1, -1]]}))  # an object's keys are not vectors
+    code, doc = invoke(capsys, "lattice", "--basis-file", str(path))
+    assert code == 2
+    assert doc["payload"]["message"] == (
+        f"malformed input in {str(path)!r}: expected a JSON list of integer vectors")
+
+
 def test_unreadable_path_is_bad_input(tmp_path, capsys):
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe{}")  # not UTF-8
@@ -290,6 +299,23 @@ def test_timeout_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SCROLLSTCI_TIMEOUT", "0.0")
     code, doc = invoke(capsys, "gb", path)
     assert code == 2 and doc["payload"]["message"] == "timed out"
+
+
+def test_timeout_env_var_is_read_on_every_run(capsys, tmp_path, monkeypatch):
+    # the parser is built once per process, so its first build must not freeze
+    # the variable; a value that is no number is bad input, not a crash
+    variables = [f"x{i}" for i in range(8)]
+    gens = [f"x{i}^3 - x{(i + 1) % 8}*x{(i + 2) % 8} - 1" for i in range(8)]
+    slow = write_ideal(tmp_path, "slow.json", variables, gens)
+    quick = write_ideal(tmp_path, "quick.json", ["x"], ["x"])
+    monkeypatch.setenv("SCROLLSTCI_TIMEOUT", "300")
+    assert run(["gb", quick]).status == "ok"
+    monkeypatch.setenv("SCROLLSTCI_TIMEOUT", "0.0")
+    code, doc = invoke(capsys, "gb", slow)
+    assert code == 2 and doc["diagnostics"] == ["computation exceeded 0.0 seconds"]
+    monkeypatch.setenv("SCROLLSTCI_TIMEOUT", "soon")
+    code, doc = invoke(capsys, "gb", quick)
+    assert code == 2 and doc["status"] == "error"
 
 
 def test_field_override(tmp_path, capsys):

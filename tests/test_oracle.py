@@ -1,17 +1,23 @@
 """Certification engine: Groebner bases and the derived ideal predicates."""
 
 import random
+import sys
 import threading
 
 import pytest
 
 from scrollstci import oracle
+from scrollstci.linjoin import TwoLinearSpec
 from scrollstci.oracle import (
     IdealHandle,
     OracleTimeout,
+    _buchberger,
     _extend,
+    _interreduce,
+    _monic,
     _rabinowitsch_contains,
     _radical_chain,
+    _reduce_full,
     eliminate,
     groebner_basis,
     ideal_member,
@@ -23,8 +29,21 @@ from scrollstci.oracle import (
     saturate,
     time_limit,
 )
-from scrollstci.poly import LEX, QQ, Fp, Ring, RingMismatchError, ScrollstciError, parse
+from scrollstci.poly import (
+    DEGLEX,
+    DEGREVLEX,
+    LEX,
+    QQ,
+    Fp,
+    Polynomial,
+    Ring,
+    RingMismatchError,
+    ScrollstciError,
+    block_order,
+    parse,
+)
 from scrollstci.scroll import ScrollBlock, minors_2x2, verdi_generators
+from scrollstci.synth import synthesize
 
 R2 = Ring(("x", "y"))
 R3 = Ring(("x", "y", "z"))
@@ -365,7 +384,7 @@ def test_saturate_refuses_a_basis_that_fails_buchbergers_criterion(monkeypatch):
 
     def lossy_update(G, B, ih, lms):
         G_new, B_new = real_update(G, B, ih, lms)
-        return G_new, (B_new & B if ih >= 3 else B_new)
+        return G_new, ({k: v for k, v in B_new.items() if k in B} if ih >= 3 else B_new)
 
     monkeypatch.setattr(oracle, "_update", lossy_update)
     ring = Ring(("x1", "x2", "x3", "x4"))
@@ -453,3 +472,212 @@ def test_time_limit_is_per_thread():
         t.join(20)
     assert "error" not in outcome
     assert outcome["basis"]
+
+
+# --- kernels against the references they replaced ---------------------------------------
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _reference_reduce_full(p, reducers, keyf, field):
+    """Full normal form that takes the largest term with a max over all of work."""
+    work = dict(p)
+    out = {}
+    while work:
+        m = max(work, key=keyf)
+        c = work.pop(m)
+        hit = next(((lm, g) for lm, g in reducers if _divides(lm, m)), None)
+        if hit is None:
+            out[m] = c
+            continue
+        lm, g = hit
+        shift = tuple(a - b for a, b in zip(m, lm))
+        for mg, cg in g.items():
+            if mg == lm:
+                continue
+            tm = tuple(a + b for a, b in zip(mg, shift))
+            s = field.sub(work.get(tm, field.zero), field.mul(c, cg))
+            if s == 0:
+                work.pop(tm, None)
+            else:
+                work[tm] = s
+    return out
+
+
+def _random_terms(rng, arity, field, nterms, top=3):
+    terms = {}
+    for _ in range(nterms):
+        c = field.coerce(rng.randint(-4, 4))
+        if c != 0:
+            terms[tuple(rng.randint(0, top) for _ in range(arity))] = c
+    return terms
+
+
+@pytest.mark.parametrize("field", [QQ, Fp(7)], ids=str)
+@pytest.mark.parametrize("order", [LEX, DEGLEX, DEGREVLEX, block_order(2)], ids=str)
+def test_heap_normal_form_matches_the_max_reference(order, field):
+    # 50 polynomials and reducer sets per order and field; the first key of a
+    # normal form is its leading monomial, so the key order must match too
+    rng = random.Random(11)
+    keyf = order.key()
+    for _ in range(50):
+        arity = rng.randint(2, 4)
+        reducers = []
+        for _ in range(rng.randint(1, 4)):
+            g = _random_terms(rng, arity, field, rng.randint(1, 4))
+            if g:
+                lm = max(g, key=keyf)
+                reducers.append((lm, _monic(g, lm, field)))
+        reducers.sort(key=lambda t: keyf(t[0]))
+        p = _random_terms(rng, arity, field, rng.randint(1, 8))
+        got = _reduce_full(p, reducers, order, field)
+        assert list(got.items()) == list(_reference_reduce_full(p, reducers, keyf, field).items())
+
+
+def _reference_update(G, B, ih, lms):
+    """Gebauer-Moeller update on a set of pairs, every lcm recomputed when needed."""
+    def lcm(a, b):
+        return tuple(max(x, y) for x, y in zip(a, b))
+
+    def coprime(a, b):
+        return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+    mh = lms[ih]
+    C = set(G)
+    D = set()
+    while C:
+        ig = C.pop()
+        lcm_hg = lcm(mh, lms[ig])
+        if coprime(mh, lms[ig]) or (
+            not any(_divides(lcm(mh, lms[ip]), lcm_hg) for ip in C)
+            and not any(_divides(lcm(mh, lms[pr[1]]), lcm_hg) for pr in D)
+        ):
+            D.add((ih, ig))
+    B_new = {(i1, i2) for (i1, i2) in B
+             if not _divides(mh, lcm(lms[i1], lms[i2]))
+             or lcm(lms[i1], mh) == lcm(lms[i1], lms[i2])
+             or lcm(lms[i2], mh) == lcm(lms[i1], lms[i2])}
+    B_new |= {(i, j) for (i, j) in D if not coprime(mh, lms[j])}
+    return {ig for ig in G if not _divides(mh, lms[ig])} | {ih}, B_new
+
+
+def _reference_pairs(seeds, arity, order, field, gb_prefix=0):
+    """Leading monomials of the pairs Buchberger reduces, in order, when the
+    next pair is the min over a set by (key of its lcm, pair); and the basis."""
+    keyf = order.key()
+    start = [(max(s, key=keyf), s) for s in seeds]
+    if gb_prefix == 0:
+        start = _interreduce(start, order, field)
+    if any(not any(lm) for lm, _ in start):
+        return [], [{(0,) * arity: field.one}]
+    start = [(lm, _monic(p, lm, field)) for lm, p in start]
+    lms, polys, G, B, seen, prefix_ids = [], [], set(), set(), [], set()
+    for i in sorted(range(len(start)), key=lambda i: keyf(start[i][0])):
+        if i < gb_prefix:
+            prefix_ids.add(len(lms))
+        lms.append(start[i][0])
+        polys.append(start[i][1])
+        G, B = _reference_update(G, B, len(lms) - 1, lms)
+    B = {(i, j) for (i, j) in B if not (i in prefix_ids and j in prefix_ids)}
+    while B:
+        i, j = pr = min(B, key=lambda pr: (keyf(tuple(map(max, lms[pr[0]], lms[pr[1]]))), pr))
+        B.discard(pr)
+        seen.append((lms[i], lms[j]))
+        s = oracle._spoly(polys[i], lms[i], polys[j], lms[j], field)
+        reducers = sorted(((lms[g], polys[g]) for g in G), key=lambda t: keyf(t[0]))
+        h = _reference_reduce_full(s, reducers, keyf, field)
+        if h:
+            lm = next(iter(h))
+            lms.append(lm)
+            polys.append(_monic(h, lm, field))
+            G, B = _reference_update(G, B, len(lms) - 1, lms)
+    return seen, [p for _, p in _interreduce([(lms[g], polys[g]) for g in G], order, field)]
+
+
+def _pair_cases():
+    rng = random.Random(13)
+    for n in range(12):
+        field = (QQ, Fp(7))[n % 2]
+        order = (DEGREVLEX, LEX, block_order(1))[n % 3]
+        seeds = [g for g in (_random_terms(rng, 3, field, 3, top=2) for _ in range(3)) if g]
+        yield seeds, 3, order, field, 0
+    ring = Ring(tuple(f"x{i}" for i in range(6)))
+    block = ScrollBlock(tuple(ring.variable(v) for v in ring.variables))
+    minors = [dict(m._terms) for m in minors_2x2(block)]  # many pairs share an lcm degree
+    yield minors, 6, DEGREVLEX, QQ, 0
+    basis = [dict(g._terms) for g in IdealHandle(ring, minors_2x2(block)).groebner_basis()]
+    extra = dict(parse(ring, "x1^2 + x2*x4 - x0*x5")._terms)
+    yield basis + [extra], 6, DEGREVLEX, QQ, len(basis)  # a reduced prefix, as _extend seeds it
+
+
+def test_buchberger_reduces_pairs_in_the_order_of_the_set_reference(monkeypatch):
+    for seeds, arity, order, field, prefix in _pair_cases():
+        want, want_basis = _reference_pairs(seeds, arity, order, field, prefix)
+        got = []
+        real_spoly = oracle._spoly
+
+        def recording(f, lmf, g, lmg, fld):
+            got.append((lmf, lmg))
+            return real_spoly(f, lmf, g, lmg, fld)
+
+        monkeypatch.setattr(oracle, "_spoly", recording)
+        basis = _buchberger(seeds, arity, order, field, gb_prefix=prefix)
+        monkeypatch.setattr(oracle, "_spoly", real_spoly)
+        assert got == want
+        assert [list(p.items()) for p in basis] == [list(p.items()) for p in want_basis]
+
+
+def test_normal_form_shares_the_cached_basis_without_changing_it():
+    gens = ("x^2 + y*z - 1", "x*y - z^2", "y^2 - x*z")
+    rng = random.Random(17)
+    polys = [Polynomial._make(R3, _random_terms(rng, 3, QQ, 6, top=4)) for _ in range(40)]
+    basis = ideal(R3, *gens).groebner_basis()
+    keyf = DEGREVLEX.key()
+    reducers = sorted(((g.leading_monomial(), dict(g._terms)) for g in basis),
+                      key=lambda t: keyf(t[0]))
+    expected = [list(_reference_reduce_full(f._terms, reducers, keyf, QQ).items())
+                for f in polys]
+    I = ideal(R3, *gens)
+    snapshot = [list(g._terms.items()) for g in I.groebner_basis()]
+    assert [list(I.normal_form(f)._terms.items()) for f in polys] == expected
+    assert [list(g._terms.items()) for g in I.groebner_basis()] == snapshot
+
+    # four threads share one fresh handle, so they race to fill both caches
+    shared = ideal(R3, *gens)
+    results = {}
+
+    def work(n):
+        results[n] = [list(shared.normal_form(f)._terms.items()) for f in polys]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {n: expected for n in range(4)}
+    assert [list(g._terms.items()) for g in shared.groebner_basis()] == snapshot
+
+
+def test_synth_of_a_dense_coordinate_change_stays_fast():
+    # an l = 2, c = 3 leading-block spec after x_i -> x_i + a*x_{i+1}: its radical
+    # chain reduces powers of 1000 to 2500 terms, which took 45 s with a max per step
+    spec = TwoLinearSpec.from_json({
+        "ring": {"vars": ["m0", "m1", "m2", "m3", "m4", "d2", "e2"], "field": "QQ"},
+        "components": [
+            {"scroll": {"blocks": [{"entries": [
+                "m0 + 2*m1", "m1 + 2*m2", "m2 + 2*m3", "m3 - m4", "m4 - 2*d2"]}]},
+             "delta": [], "p": []},
+            {"scroll": None, "delta": ["d2 + 2*e2"],
+             "p": ["m3 - m4", "m1 + 2*m2", "e2", "m2 + 2*m3", "m0 + 2*m1"]},
+        ],
+    })
+    with time_limit(30):
+        certificate = synthesize(spec)
+    assert certificate.verified is True

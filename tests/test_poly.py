@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scrollstci.poly import (
+    DEGLEX,
     DEGREVLEX,
     LEX,
     Fp,
@@ -17,6 +18,7 @@ from scrollstci.poly import (
     Ring,
     RingMismatchError,
     ScrollstciError,
+    block_order,
     compare_monomials,
     evaluate,
     format_poly,
@@ -170,6 +172,12 @@ def test_total_order_on_degree_four_monomials(order):
         ac = tuple(x + y for x, y in zip(a, c))
         bc = tuple(x + y for x, y in zip(b, c))
         assert compare_monomials(ac, bc, order) == cmp_ab
+
+
+@pytest.mark.parametrize("order", [LEX, DEGLEX, DEGREVLEX, block_order(0), block_order(2)])
+def test_descending_key_reverses_the_order(order):
+    monos = _all_monomials(4, 3)
+    assert sorted(monos, key=order.descending_key()) == sorted(monos, key=order.key(), reverse=True)
 
 
 # --- hypothesis: ring axioms ----------------------------------------------------
