@@ -19,8 +19,14 @@ inside the relevant spans).  Every check is linear algebra.  (P_k, D_{k-1})
 is generated by linear forms, hence prime, so by prime avoidance (f) holds iff
 some Q_j, j < k, lies in span(P_k, D_{k-1}); an empty Q_j is the zero ideal.
 
+The spec owns its spans: ``TwoLinearSpec.span(forms)`` row-reduces each tuple
+of forms once, and every rank and containment question asked here and in
+``synth`` goes through it, so a space shared by two checks (Q_i, or
+P_k + D_{k-1} in (f) and ``projdim``) is reduced once per spec.
+
 ``projdim`` evaluates max_i dim(P_i + D_{i-1}) - 1 for i = 2..l, which equals
-the projective dimension of the quotient by the intersection; ``cohom_dim``
+the projective dimension of the quotient by the intersection when the spec
+passes ``validate``; it does not validate.  ``cohom_dim`` validates, then
 reports the same number as the cohomological dimension when every M_i is a
 set-theoretic complete intersection by a known route, and ``ara_upper_bound``
 evaluates projdim + sum_i (ara M_i - cbar_i).
@@ -34,14 +40,7 @@ from typing import NamedTuple, Sequence
 
 from . import oracle
 from .oracle import IdealHandle
-from .poly import (
-    LinearSpan,
-    Polynomial,
-    Ring,
-    ScrollstciError,
-    is_linear_form,
-    linear_span_dim,
-)
+from .poly import LinearSpan, Polynomial, Ring, ScrollstciError, is_linear_form
 from .scroll import ScrollMatrix, classify_modulo, scroll_ara_facts
 
 
@@ -71,10 +70,15 @@ class ComponentSpec:
 
 @dataclass(frozen=True)
 class TwoLinearSpec:
-    """Ordered component list over one ring; components are 1-based."""
+    """Ordered component list over one ring; components are 1-based.
+
+    ``span(forms)`` answers every rank and containment question about the
+    spec's linear spaces; each tuple of forms is row-reduced once.
+    """
 
     ring: Ring
     components: tuple[ComponentSpec, ...]
+    _spans: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", tuple(self.components))
@@ -113,6 +117,15 @@ class TwoLinearSpec:
 
     def q_space(self, i: int) -> tuple[Polynomial, ...]:
         return self.d_space(i) + self.p(i)
+
+    def span(self, forms: Sequence[Polynomial]) -> LinearSpan:
+        """The row-reduced span of ``forms``; written once per tuple, like
+        ``IdealHandle``'s caches."""
+        forms = tuple(forms)
+        cached = self._spans.get(forms)
+        if cached is None:
+            cached = self._spans.setdefault(forms, LinearSpan(self.ring, forms))
+        return cached
 
     def to_json(self):
         comps = []
@@ -223,15 +236,6 @@ def _scroll_has_minors(scroll: ScrollMatrix | None) -> bool:
     return scroll is not None and scroll.ncols >= 2
 
 
-def _row_in_span(scroll: ScrollMatrix, forms: Sequence[Polynomial]) -> int | None:
-    """1-based index of a full row inside span(forms), preferring row 1."""
-    span = LinearSpan(scroll.ring, forms)
-    for which in (1, 2):
-        if span.contains_all(scroll.row(which)):
-            return which
-    return None
-
-
 def validate(spec: TwoLinearSpec) -> ValidationReport:
     """Check the linearly-joined conditions; failures are reported, not thrown."""
     failures: list[ValidationFailure] = []
@@ -239,6 +243,9 @@ def validate(spec: TwoLinearSpec) -> ValidationReport:
 
     def fail(condition, indices, witness, message):
         failures.append(ValidationFailure(condition, tuple(indices), witness, message))
+
+    def dim(forms):
+        return spec.span(forms).dim
 
     # structure: P_1 = 0 and no Delta on component 1; independence ranks
     first = spec.component(1)
@@ -248,32 +255,24 @@ def validate(spec: TwoLinearSpec) -> ValidationReport:
         fail("structure", (1,), str(first.delta[0]), "component 1 must have no Delta forms")
     for i in range(1, spec.l + 1):
         comp = spec.component(i)
-        if linear_span_dim(comp.delta, spec.ring) != len(comp.delta):
+        if dim(comp.delta) != len(comp.delta):
             fail("structure", (i,), None, f"Delta basis of component {i} is dependent")
-        if linear_span_dim(comp.p_forms, spec.ring) != len(comp.p_forms):
+        if dim(comp.p_forms) != len(comp.p_forms):
             fail("structure", (i,), None, f"P basis of component {i} is dependent")
         if comp.scroll is not None:
             if not comp.scroll.is_standard_form():
                 fail("structure", (i,), None,
                      f"scroll entries of component {i} are linearly dependent")
-            entries = comp.scroll.all_entries()
-            combined = entries + list(spec.q_space(i))
-            if linear_span_dim(combined, spec.ring) != len(entries) + linear_span_dim(
-                spec.q_space(i), spec.ring
-            ):
+            entries = tuple(comp.scroll.all_entries())
+            if dim(entries + spec.q_space(i)) != len(entries) + dim(spec.q_space(i)):
                 fail("structure", (i,), None,
                      f"scroll entries of component {i} meet its linear part")
 
     # direct sums: D_1 = (+) Delta_j and Q_i = D_i (+) P_i
-    all_delta = [f for j in range(2, spec.l + 1) for f in spec.delta(j)]
-    delta_dims = sum(linear_span_dim(spec.delta(j), spec.ring) for j in range(2, spec.l + 1))
-    if linear_span_dim(all_delta, spec.ring) != delta_dims:
+    if dim(spec.d_space(1)) != sum(dim(spec.delta(j)) for j in range(2, spec.l + 1)):
         fail("direct_sum", (), None, "the Delta_j do not form a direct sum")
     for i in range(1, spec.l + 1):
-        d = spec.d_space(i)
-        p = spec.p(i)
-        if linear_span_dim(d + p, spec.ring) != linear_span_dim(d, spec.ring) + \
-                linear_span_dim(p, spec.ring):
+        if dim(spec.q_space(i)) != dim(spec.d_space(i)) + dim(spec.p(i)):
             fail("direct_sum", (i,), None, f"D_{i} and P_{i} overlap")
     conditions["structure"] = not any(f.condition == "structure" for f in failures)
     conditions["direct_sum"] = not any(f.condition == "direct_sum" for f in failures)
@@ -309,7 +308,7 @@ def validate(spec: TwoLinearSpec) -> ValidationReport:
     # product of one form off the span from each Q_j is a witness
     ok_f = True
     for k in range(2, spec.l + 1):
-        target = LinearSpan(spec.ring, spec.p(k) + spec.d_space(k - 1))
+        target = spec.span(spec.p(k) + spec.d_space(k - 1))
         off = [next((g for g in spec.q_space(j) if not target.contains(g)), None)
                for j in range(1, k)]
         if all(g is not None for g in off):
@@ -318,7 +317,7 @@ def validate(spec: TwoLinearSpec) -> ValidationReport:
                  f"intersection of (Q_1)..(Q_{k-1}) is not inside (P_{k}, D_{k-1})")
     conditions["f"] = ok_f
 
-    # hypothesis flags for the synthesis theorems
+    # hypothesis flags for the synthesis theorems; rows are tried 1 then 2
     hyp = AraHypotheses()
     for i in range(1, spec.l + 1):
         scroll = spec.component(i).scroll
@@ -330,12 +329,14 @@ def validate(spec: TwoLinearSpec) -> ValidationReport:
         if not _scroll_has_minors(scroll):
             continue
         if i >= 2:
-            hyp.delta_rows[i] = _row_in_span(scroll, spec.delta(i))
+            span = spec.span(spec.delta(i))
+            hyp.delta_rows[i] = next((w for w in (1, 2) if span.contains_all(scroll.row(w))), None)
             if hyp.delta_rows[i] is None:
                 hyp.rows_in_delta = False
                 hyp.failures.append(f"component {i}: no scroll row inside (Delta_{i})")
         for j in range(i + 1, spec.l + 1):
-            hyp.p_rows[i, j] = _row_in_span(scroll, spec.p(j))
+            span = spec.span(spec.p(j))
+            hyp.p_rows[i, j] = next((w for w in (1, 2) if span.contains_all(scroll.row(w))), None)
             if hyp.p_rows[i, j] is None:
                 hyp.rows_in_p = False
                 hyp.failures.append(f"component {i}: no scroll row inside (P_{j})")
@@ -407,16 +408,18 @@ def full_ideal(spec: TwoLinearSpec, check: bool = True) -> IdealHandle:
 
 
 def projdim(spec: TwoLinearSpec) -> int:
-    """max over i = 2..l of dim(P_i + D_{i-1}) - 1."""
+    """max over i = 2..l of dim(P_i + D_{i-1}) - 1.
+
+    The formula is evaluated without validating the spec, so the value is the
+    projective dimension only for a spec that passes :func:`validate`.  That
+    is on purpose: a ``validate`` costs about twice the formula, and callers
+    that need the theorem value (``cohom_dim``, ``ara_upper_bound``,
+    ``synthesize``) have validated already.
+    """
     if spec.l < 2:
         raise SpecValidationError(
             "single component: use the scroll facts (projective dimension r-1) instead")
-    best = None
-    for i in range(2, spec.l + 1):
-        forms = spec.p(i) + spec.d_space(i - 1)
-        value = linear_span_dim(forms, spec.ring) - 1
-        best = value if best is None else max(best, value)
-    return best
+    return max(spec.span(spec.p(i) + spec.d_space(i - 1)).dim for i in range(2, spec.l + 1)) - 1
 
 
 class CohomDim(NamedTuple):
@@ -429,9 +432,11 @@ def cohom_dim(spec: TwoLinearSpec) -> CohomDim:
 
     Requires every M_i to be a set-theoretic complete intersection by a known
     route, i.e. its known arithmetical rank equals its height (r - 1 for r
-    columns, 0 without minors); the value then equals ``projdim``.  Never
-    computed from local cohomology.
+    columns, 0 without minors); the value then equals ``projdim``.  A spec
+    that fails :func:`validate` is refused first, since the theorem does not
+    apply to it.  Never computed from local cohomology.
     """
+    require_valid(spec)
     for i in range(1, spec.l + 1):
         scroll = spec.component(i).scroll
         facts = scroll_ara_facts(scroll)

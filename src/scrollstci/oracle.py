@@ -181,11 +181,15 @@ def _interreduce(pairs: list[tuple[tuple, dict]], order: TermOrder,
     """
     keyf = order.key()
     current = sorted(((lm, _monic(p, lm, field)) for lm, p in pairs), key=lambda t: keyf(t[0]))
+    first_pass = True
     while True:
         changed = False
         done: list[tuple[tuple, dict]] = []
         for i, (lm, p) in enumerate(current):
-            reducers = sorted(done + current[i + 1:], key=lambda t: keyf(t[0]))
+            # ascending as it stands until the first pass changes something
+            reducers = done + current[i + 1:]
+            if changed or not first_pass:
+                reducers.sort(key=lambda t: keyf(t[0]))
             r = _reduce_full(p, reducers, order, field)
             if not r:
                 changed = True
@@ -196,6 +200,7 @@ def _interreduce(pairs: list[tuple[tuple, dict]], order: TermOrder,
         current = done
         if not changed:
             return sorted(current, key=lambda t: keyf(t[0]), reverse=True)
+        first_pass = False
 
 
 def _buchberger(seeds: list[dict], arity: int, order: TermOrder, field,

@@ -7,10 +7,16 @@ hypotheses satisfied, this module builds the "tilde" complements
     Delta_j = tildeDelta_j (+) inner_j
 
 where inner_i is the span of the inner entries of block i, with the required
-corner entries kept inside the complements.  The synthesized generator list
-is the union of the Verdi generators of every block (c_i polynomials each)
-and the anti-diagonal row sums of the product tableau of the pruned linear
-ideal  K = U_j (tildeDelta_j x tildeP_j);  the count is
+corner entries kept inside the complements.  One routine builds every
+complement: it checks the spec's override if there is one, else takes the
+corners and then the listed forms greedily, keeping a form only when it lies
+outside the span so far; then it checks that the corners are kept and that
+the dimension is right.  Its spans come from the spec's ``span`` memo.
+
+The synthesized generator list is the union of the Verdi generators of every
+block (c_i polynomials each) and the anti-diagonal row sums of the product
+tableau of the pruned linear ideal  K = U_j (tildeDelta_j x tildeP_j);  the
+count is
 
     sum_i c_i + max_j (dim tildeD_{j-1} + dim tildeP_j) - 1
 
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 from . import linjoin
 from .linjoin import TwoLinearSpec, intersection_ideal
 from .oracle import IdealHandle, radical_equal
-from .poly import LinearSpan, Polynomial, RingMismatchError, ScrollstciError, linear_span_dim
+from .poly import Polynomial, RingMismatchError, ScrollstciError
 from .scroll import ScrollBlock, verdi_generators
 
 
@@ -82,26 +88,37 @@ def _single_block(spec: TwoLinearSpec, i: int) -> ScrollBlock | None:
     return scroll.blocks[0]
 
 
-def _greedy_complement(ring, candidates, inner, target_forms, what: str) -> list[Polynomial]:
-    """Pick candidate forms extending span(inner) to span(target_forms)."""
-    target_dim = linear_span_dim(list(target_forms), ring)
-    target = LinearSpan(ring, target_forms)
-    chosen: list[Polynomial] = []
-    current = list(inner)
-    dim = linear_span_dim(current, ring)
-    for cand in candidates:
-        if not target.contains(cand):
-            raise SynthesisError(f"{what}: required form {cand} is outside the space")
-        trial = current + [cand]
-        d = linear_span_dim(trial, ring)
-        if d > dim:
-            chosen.append(cand)
-            current = trial
-            dim = d
-        if dim == target_dim:
-            break
-    if dim != target_dim:
-        raise SynthesisError(f"{what}: complement does not reach the full space")
+def _complement(spec: TwoLinearSpec, what: str, target, inner, corners, override):
+    """A basis of a complement of span(inner) in span(target) keeping ``corners``.
+
+    The spec's override is checked if it gives one; otherwise the corners,
+    then the target forms, are taken in turn, each kept only when it lies
+    outside the span so far.  Either way every corner must lie in the
+    complement and its dimension must be dim(target) - len(inner).
+    """
+    full = spec.span(target)
+    if override is not None:
+        chosen = override
+        for f in chosen:
+            if not full.contains(f):
+                raise SynthesisError(f"{what} override form {f} is outside the space")
+        dim = spec.span(inner + chosen).dim
+        if dim != len(chosen) + spec.span(inner).dim:
+            raise SynthesisError(f"{what} override is not independent of the inner span")
+        if dim != full.dim:
+            raise SynthesisError(f"{what} override does not span a full complement")
+    else:
+        chosen = ()
+        for cand in corners + target:
+            if not spec.span(inner + chosen).contains(cand):
+                chosen += (cand,)
+    kept = spec.span(chosen)
+    for corner in corners:
+        if not kept.contains(corner):
+            raise SynthesisError(f"{what} drops the required corner entry {corner}")
+    expected = full.dim - len(inner)
+    if len(chosen) != expected:
+        raise SynthesisError(f"{what} has dimension {len(chosen)}, expected {expected}")
     return chosen
 
 
@@ -114,97 +131,43 @@ def tilde_decompose(spec: TwoLinearSpec) -> TildeData:
             msgs += "; for multi-block scrolls use verify_generator_list / ara_upper_bound"
         raise SynthesisError(f"synthesis hypotheses unmet: {msgs}")
 
-    ring = spec.ring
     l = spec.l
     blocks: list[ScrollBlock | None] = [_single_block(spec, i) for i in range(1, l + 1)]
-    inner_spans = tuple(
-        tuple(b.inner_entries) if b is not None and b.c >= 1 else ()
-        for b in blocks
-    )
+    inner_spans = tuple(() if b is None else tuple(b.inner_entries) for b in blocks)
 
+    # tildeDelta_j complements the inner entries of block j inside Delta_j
     tilde_delta: list[tuple[Polynomial, ...]] = [()]
     for j in range(2, l + 1):
-        comp = spec.component(j)
-        delta = comp.delta
         block = blocks[j - 1]
-        inner = inner_spans[j - 1]
-        corner = None
-        if block is not None and block.c >= 1:
-            corner = block.corners[hyp.delta_rows[j] - 1]
-        if comp.tilde_delta is not None:
-            chosen = list(comp.tilde_delta)
-            _check_override(ring, chosen, inner, delta, f"tildeDelta_{j}")
-        else:
-            candidates = ([] if corner is None else [corner]) + list(delta)
-            chosen = _greedy_complement(ring, candidates, inner, delta, f"tildeDelta_{j}")
-        if corner is not None and not LinearSpan(ring, chosen).contains(corner):
-            raise SynthesisError(
-                f"tildeDelta_{j} does not contain the corner of block {j}")
-        expected = linear_span_dim(list(delta), ring) - (block.c if block else 0)
-        if len(chosen) != expected:
-            raise SynthesisError(
-                f"tildeDelta_{j} has dimension {len(chosen)}, expected {expected}")
-        tilde_delta.append(tuple(chosen))
+        corners = () if block is None else (block.corners[hyp.delta_rows[j] - 1],)
+        tilde_delta.append(_complement(spec, f"tildeDelta_{j}", spec.delta(j),
+                                       inner_spans[j - 1], corners,
+                                       spec.component(j).tilde_delta))
 
-    delta_spans = [None, None] + [LinearSpan(ring, td) for td in tilde_delta[1:]]
-
+    # tildeP_j complements the inner entries of every earlier block inside P_j
     tilde_p: list[tuple[Polynomial, ...]] = [()]
     for j in range(2, l + 1):
-        comp = spec.component(j)
-        p = comp.p_forms
-        inner: list[Polynomial] = []
-        corners: list[Polynomial] = []
-        for i in range(1, j):
-            block = blocks[i - 1]
-            if block is None or block.c < 1:
-                continue
-            inner.extend(inner_spans[i - 1])
-            corners.append(block.corners[hyp.p_rows[i, j] - 1])
-        if comp.tilde_p is not None:
-            chosen = list(comp.tilde_p)
-            _check_override(ring, chosen, inner, p, f"tildeP_{j}")
-            chosen_span = LinearSpan(ring, chosen)
-            for corner in corners:
-                if not chosen_span.contains(corner):
-                    raise SynthesisError(
-                        f"tildeP_{j} override drops a required corner entry")
-        else:
-            candidates = list(dict.fromkeys(corners)) + list(p)
-            chosen = _greedy_complement(ring, candidates, inner, p, f"tildeP_{j}")
-            chosen = _order_tilde_p(chosen, corners, delta_spans, j)
-        expected = linear_span_dim(list(p), ring) - sum(
-            blocks[i - 1].c if blocks[i - 1] is not None else 0 for i in range(1, j)
-        )
-        if len(chosen) != expected:
-            raise SynthesisError(
-                f"tildeP_{j} has dimension {len(chosen)}, expected {expected}")
+        earlier = [i for i in range(1, j) if blocks[i - 1] is not None]
+        inner = tuple(f for i in earlier for f in inner_spans[i - 1])
+        corners = tuple(blocks[i - 1].corners[hyp.p_rows[i, j] - 1] for i in earlier)
+        override = spec.component(j).tilde_p
+        chosen = _complement(spec, f"tildeP_{j}", spec.p(j), inner, corners, override)
+        if override is None:
+            chosen = _order_tilde_p(spec, chosen, corners, tilde_delta, j)
         tilde_p.append(tuple(chosen))
 
     return TildeData(spec=spec, inner_spans=inner_spans,
                      tilde_delta=tuple(tilde_delta), tilde_p=tuple(tilde_p))
 
 
-def _check_override(ring, chosen, inner, target_forms, what: str) -> None:
-    target = LinearSpan(ring, target_forms)
-    for f in chosen:
-        if not target.contains(f):
-            raise SynthesisError(f"{what} override form {f} is outside the space")
-    combined = list(inner) + list(chosen)
-    if linear_span_dim(combined, ring) != len(chosen) + linear_span_dim(list(inner), ring):
-        raise SynthesisError(f"{what} override is not independent of the inner span")
-    if linear_span_dim(combined, ring) != target.dim:
-        raise SynthesisError(f"{what} override does not span a full complement")
-
-
-def _order_tilde_p(chosen, corners, delta_spans, j: int):
+def _order_tilde_p(spec, chosen, corners, tilde_delta, j: int):
     """Anti-diagonal default order: earlier tildeDelta members first, corners last."""
     corner_set = set(corners)
 
     def group(idx_form):
         _, form = idx_form
         for k in range(2, j):
-            span = delta_spans[k]
-            if span is not None and span.contains(form):
+            if spec.span(tilde_delta[k - 1]).contains(form):
                 return (0, k)
         if form in corner_set:
             return (2, 0)
@@ -273,7 +236,7 @@ def synthesize(spec: TwoLinearSpec, verify: bool = True,
     provenance: list[tuple] = []
     for i in range(1, spec.l + 1):
         block = _single_block(spec, i)
-        if block is None or block.c < 1:
+        if block is None:
             continue
         for j, f in enumerate(verdi_generators(block), start=1):
             gens.append(f)

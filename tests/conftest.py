@@ -1,4 +1,3 @@
-import json
 from pathlib import Path
 
 import pytest
@@ -9,7 +8,3 @@ FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES_DIR
-
-
-def load_fixture_json(name: str):
-    return json.loads((FIXTURES_DIR / name).read_text())

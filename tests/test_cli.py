@@ -129,6 +129,24 @@ def test_projdim_and_cd(capsys):
     assert code == 0 and doc["payload"]["cd"] == 3
 
 
+def test_cd_refuses_a_spec_that_fails_validation(capsys, tmp_path):
+    # (e) fails: the minors of the scroll on x, y, z are not inside (P_2) = (w)
+    spec = {
+        "ring": {"vars": ["x", "y", "z", "w"], "field": "QQ"},
+        "components": [
+            {"scroll": {"blocks": [{"entries": ["x", "y", "z"]}]}, "delta": [], "p": []},
+            {"scroll": None, "delta": ["w"], "p": ["w"]},
+        ],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    code, doc = invoke(capsys, "validate", str(path))
+    assert code == 1 and doc["payload"]["conditions"]["e"] is False
+    code, doc = invoke(capsys, "cd", str(path))
+    assert code == 2 and doc["status"] == "error"
+    assert doc["payload"]["message"].startswith("spec fails validation: ")
+
+
 def test_arabound(capsys):
     spec = str(FIXTURES_DIR / "example-qprime.json")
     code, doc = invoke(capsys, "arabound", spec)

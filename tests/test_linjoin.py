@@ -22,7 +22,7 @@ from scrollstci.oracle import IdealHandle, ideal_member, intersect
 from scrollstci.poly import QQ, Fp, Ring, linear_form, linear_span_dim, parse
 from scrollstci.scroll import ScrollBlock, ScrollMatrix
 
-from conftest import FIXTURES_DIR, load_fixture_json
+from conftest import FIXTURES_DIR
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +193,7 @@ def test_validate_computes_no_groebner_basis(monkeypatch, curve1, curve2, qprime
         assert validate(spec).ok
 
 
-@pytest.mark.parametrize("command", ["validate", "ideal", "arabound", "synth"])
+@pytest.mark.parametrize("command", ["validate", "ideal", "arabound", "synth", "cd"])
 def test_one_validation_per_command(monkeypatch, command):
     calls = []
     inner = linjoin.validate
@@ -357,15 +357,19 @@ def test_cohom_dim_refuses_unknown_stci():
     ([("x0", "x1", "x2"), ("x3", "x4")], False),       # generic plus non-generic
 ])
 def test_cohom_dim_scroll_shapes(blocks, known):
+    # P_2 = (z, row 1 of the scroll) holds the minors, so the spec is valid;
+    # its value is dim(P_2 + Delta_2) - 1 = (1 + len(row)) + 1 - 1
     ring = Ring(("x0", "x1", "x2", "x3", "x4", "x5", "y", "z"))
     scroll = None if blocks is None else ScrollMatrix(tuple(
         ScrollBlock(tuple(ring.variable(v) for v in b)) for b in blocks))
+    row = () if scroll is None else scroll.row(1)
     spec = TwoLinearSpec(ring, (
         ComponentSpec(scroll=scroll),
-        ComponentSpec(delta=(ring.variable("y"),), p_forms=(ring.variable("z"),)),
+        ComponentSpec(delta=(ring.variable("y"),), p_forms=(ring.variable("z"),) + row),
     ))
+    assert validate(spec).ok
     if known:
-        assert cohom_dim(spec).value == 1
+        assert cohom_dim(spec).value == projdim(spec) == 1 + len(row)
     else:
         with pytest.raises(SpecValidationError, match="component 1"):
             cohom_dim(spec)
@@ -408,11 +412,10 @@ def test_spec_json_round_trip(curve2):
     assert again == curve2
 
 
-def test_fixture_files_match_builders(curve1, curve2, qprime):
-    for name, spec in [
-        ("example-curve-1.json", curve1),
-        ("example-curve-2.json", curve2),
-        ("example-qprime.json", qprime),
-    ]:
-        loaded = TwoLinearSpec.from_json(load_fixture_json(name))
-        assert loaded == spec
+def test_fixture_files_match_builders(tmp_path):
+    # every shipped file is exactly what fixtures.write_all writes, and no more
+    written = {p.name: p.read_text() for p in fixtures.write_all(tmp_path)}
+    shipped = {p.name: p.read_text() for p in FIXTURES_DIR.glob("*.json")}
+    assert sorted(written) == sorted(shipped)
+    for name, text in written.items():
+        assert shipped[name] == text, name

@@ -535,6 +535,62 @@ def test_heap_normal_form_matches_the_max_reference(order, field):
         assert list(got.items()) == list(_reference_reduce_full(p, reducers, keyf, field).items())
 
 
+def _reference_interreduce(pairs, order, field):
+    """Autoreduction that sorts the reducers afresh for every element."""
+    keyf = order.key()
+    current = sorted(((lm, _monic(p, lm, field)) for lm, p in pairs), key=lambda t: keyf(t[0]))
+    while True:
+        changed = False
+        done = []
+        for i, (lm, p) in enumerate(current):
+            reducers = sorted(done + current[i + 1:], key=lambda t: keyf(t[0]))
+            r = _reduce_full(p, reducers, order, field)
+            if not r:
+                changed = True
+                continue
+            rlm = next(iter(r))
+            changed = changed or rlm != lm
+            done.append((rlm, _monic(r, rlm, field)))
+        current = done
+        if not changed:
+            return sorted(current, key=lambda t: keyf(t[0]), reverse=True)
+
+
+@pytest.mark.parametrize("field", [QQ, Fp(7)], ids=str)
+@pytest.mark.parametrize("order", [LEX, DEGREVLEX, block_order(1)], ids=str)
+def test_interreduce_matches_the_always_sorting_reference(order, field):
+    # each set mixes random polynomials with combinations of them, so that
+    # leading monomials move and elements reduce to zero
+    rng = random.Random(19)
+    keyf = order.key()
+    moved = dropped = 0
+    for _ in range(60):
+        base = [g for g in (_random_terms(rng, 3, field, rng.randint(1, 4), top=2)
+                            for _ in range(rng.randint(2, 4))) if g]
+        polys = list(base)
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.choice(base), rng.choice(base)
+            c = field.coerce(rng.randint(1, 3))
+            combo = {m: field.mul(c, v) for m, v in a.items()}
+            for m, v in b.items():
+                s = field.add(combo.get(m, field.zero), v)
+                if s == 0:
+                    combo.pop(m, None)
+                else:
+                    combo[m] = s
+            if combo:
+                polys.append(combo)
+        rng.shuffle(polys)
+        pairs = [(max(p, key=keyf), p) for p in polys]
+        got = _interreduce(pairs, order, field)
+        want = _reference_interreduce(pairs, order, field)
+        assert [(lm, list(p.items())) for lm, p in got] == \
+            [(lm, list(p.items())) for lm, p in want]
+        dropped += len(want) < len(pairs)
+        moved += not {lm for lm, _ in want} <= {lm for lm, _ in pairs}
+    assert moved >= 5 and dropped >= 5
+
+
 def _reference_update(G, B, ih, lms):
     """Gebauer-Moeller update on a set of pairs, every lcm recomputed when needed."""
     def lcm(a, b):
