@@ -25,6 +25,7 @@ from .poly import (
     ParseError,
     Ring,
     ScrollstciError,
+    json_list,
     order_from_string,
     parse,
 )
@@ -187,8 +188,10 @@ def _load_scroll_doc(args):
         doc = _with_field(doc, field)
         ring = Ring.from_json(doc["ring"])
         matrix = scroll.ScrollMatrix.from_json(ring, doc.get("scroll") or doc)
-        delta = [parse(ring, s) for s in doc.get("delta", [])]
-        return ring, matrix, delta
+        if "delta" not in doc:  # the classify command refuses the file
+            return ring, matrix, None
+        return ring, matrix, [parse(ring, s) for s in
+                              json_list(doc["delta"], "polynomial strings in 'delta'")]
 
     return _from_file(args.file, build)
 
@@ -262,17 +265,11 @@ def _cmd_synth(args) -> CommandResult:
     return CommandResult("ok" if certificate.verified else "false", payload, diagnostics)
 
 
-def _json_list(doc, what: str) -> list:
-    if not isinstance(doc, list):
-        raise TypeError(f"expected a JSON list of {what}")
-    return doc
-
-
 def _cmd_verify(args) -> CommandResult:
     spec = _load_spec(args.spec, _parse_field(args.field))
     if args.gens_file:
         gens = _from_file(args.gens_file, lambda doc: [
-            parse(spec.ring, t) for t in _json_list(doc, "polynomial strings")])
+            parse(spec.ring, t) for t in json_list(doc, "polynomial strings")])
     elif args.gens:
         gens = [parse(spec.ring, t) for t in args.gens.split(";") if t.strip()]
     else:
@@ -284,8 +281,9 @@ def _cmd_verify(args) -> CommandResult:
 
 def _parse_basis(args) -> lattice_mod.LatticeBasis:
     if args.basis_file:
-        return _from_file(args.basis_file, lambda doc: lattice_mod.LatticeBasis(
-            _json_list(doc, "integer vectors")))
+        return _from_file(args.basis_file, lambda doc: lattice_mod.LatticeBasis([
+            json_list(row, "integers in each vector")
+            for row in json_list(doc, "integer vectors")]))
     if args.basis:
         return lattice_mod.LatticeBasis([
             [int(x) for x in row.split(",") if x.strip()]

@@ -22,7 +22,9 @@ some Q_j, j < k, lies in span(P_k, D_{k-1}); an empty Q_j is the zero ideal.
 The spec owns its spans: ``TwoLinearSpec.span(forms)`` row-reduces each tuple
 of forms once, and every rank and containment question asked here and in
 ``synth`` goes through it, so a space shared by two checks (Q_i, or
-P_k + D_{k-1} in (f) and ``projdim``) is reduced once per spec.
+P_k + D_{k-1} in (f) and ``projdim``) is reduced once per spec.  (d) and (e)
+take one residual per scroll entry against the spec's span, and the row flags
+read the same residuals; the case analysis of ``classify_modulo`` is not run.
 
 ``projdim`` evaluates max_i dim(P_i + D_{i-1}) - 1 for i = 2..l, which equals
 the projective dimension of the quotient by the intersection when the spec
@@ -41,7 +43,7 @@ from typing import NamedTuple, Sequence
 from . import oracle
 from .oracle import IdealHandle
 from .poly import LinearSpan, Polynomial, Ring, ScrollstciError, is_linear_form
-from .scroll import ScrollMatrix, classify_modulo, scroll_ara_facts
+from .scroll import ScrollMatrix, rows_in_span, scroll_ara_facts, span_containment
 
 
 class SpecValidationError(ScrollstciError):
@@ -144,22 +146,27 @@ class TwoLinearSpec:
 
     @staticmethod
     def from_json(obj) -> "TwoLinearSpec":
-        from .poly import parse
+        from .poly import json_list, parse
 
         ring = Ring.from_json(obj["ring"])
+
+        def forms(doc, key, absent=None):
+            if key not in doc:
+                return absent
+            return tuple(parse(ring, s)
+                         for s in json_list(doc[key], f"polynomial strings in {key!r}"))
+
         comps = []
-        for doc in obj["components"]:
+        for doc in json_list(obj["components"], "spec components in 'components'"):
             scroll = None
             if doc.get("scroll"):
                 scroll = ScrollMatrix.from_json(ring, doc["scroll"])
             comps.append(ComponentSpec(
                 scroll=scroll,
-                delta=tuple(parse(ring, s) for s in doc.get("delta", [])),
-                p_forms=tuple(parse(ring, s) for s in doc.get("p", [])),
-                tilde_delta=(tuple(parse(ring, s) for s in doc["tilde_delta"])
-                             if "tilde_delta" in doc else None),
-                tilde_p=(tuple(parse(ring, s) for s in doc["tilde_p"])
-                         if "tilde_p" in doc else None),
+                delta=forms(doc, "delta", ()),
+                p_forms=forms(doc, "p", ()),
+                tilde_delta=forms(doc, "tilde_delta"),
+                tilde_p=forms(doc, "tilde_p"),
             ))
         return TwoLinearSpec(ring, tuple(comps))
 
@@ -260,11 +267,12 @@ def validate(spec: TwoLinearSpec) -> ValidationReport:
         if dim(comp.p_forms) != len(comp.p_forms):
             fail("structure", (i,), None, f"P basis of component {i} is dependent")
         if comp.scroll is not None:
-            if not comp.scroll.is_standard_form():
-                fail("structure", (i,), None,
-                     f"scroll entries of component {i} are linearly dependent")
+            # dependent entries always meet the linear part: ask their rank only then
             entries = tuple(comp.scroll.all_entries())
             if dim(entries + spec.q_space(i)) != len(entries) + dim(spec.q_space(i)):
+                if dim(entries) != len(entries):
+                    fail("structure", (i,), None,
+                         f"scroll entries of component {i} are linearly dependent")
                 fail("structure", (i,), None,
                      f"scroll entries of component {i} meet its linear part")
 
@@ -277,32 +285,23 @@ def validate(spec: TwoLinearSpec) -> ValidationReport:
     conditions["structure"] = not any(f.condition == "structure" for f in failures)
     conditions["direct_sum"] = not any(f.condition == "direct_sum" for f in failures)
 
-    # (d): minors of B_i inside (Delta_i), i >= 2
-    ok_d = True
-    for i in range(2, spec.l + 1):
-        scroll = spec.component(i).scroll
+    # (d) and (e): the minors of B_i inside (Delta_i), i >= 2, and inside
+    # (P_j), i < j; their residuals also give the first row of B_i inside each span
+    questions = [("d", (i,), spec.delta(i), f"Delta_{i}") for i in range(2, spec.l + 1)]
+    questions += [("e", (i, j), spec.p(j), f"P_{j}")
+                  for i in range(1, spec.l + 1) for j in range(i + 1, spec.l + 1)]
+    rows: dict = {}
+    for condition, indices, forms, name in questions:
+        scroll = spec.component(indices[0]).scroll
         if not _scroll_has_minors(scroll):
             continue
-        result = classify_modulo(scroll, list(spec.delta(i)))
-        if not result.contained:
-            ok_d = False
-            fail("d", (i,), str(result.witness_minor),
-                 f"minors of component {i} are not inside (Delta_{i})")
-    conditions["d"] = ok_d
-
-    # (e): minors of B_i inside (P_j) for i < j
-    ok_e = True
-    for i in range(1, spec.l + 1):
-        scroll = spec.component(i).scroll
-        if not _scroll_has_minors(scroll):
-            continue
-        for j in range(i + 1, spec.l + 1):
-            result = classify_modulo(scroll, list(spec.p(j)))
-            if not result.contained:
-                ok_e = False
-                fail("e", (i, j), str(result.witness_minor),
-                     f"minors of component {i} are not inside (P_{j})")
-    conditions["e"] = ok_e
+        residuals, witness = span_containment(scroll, spec.span(forms))
+        rows[indices] = next((w for w, ok in zip((1, 2), rows_in_span(residuals)) if ok), None)
+        if witness is not None:
+            fail(condition, indices, str(witness),
+                 f"minors of component {indices[0]} are not inside ({name})")
+    for condition in ("d", "e"):
+        conditions[condition] = not any(f.condition == condition for f in failures)
 
     # (f) by prime avoidance: some Q_j inside span(P_k, D_{k-1}), else the
     # product of one form off the span from each Q_j is a witness
@@ -329,14 +328,12 @@ def validate(spec: TwoLinearSpec) -> ValidationReport:
         if not _scroll_has_minors(scroll):
             continue
         if i >= 2:
-            span = spec.span(spec.delta(i))
-            hyp.delta_rows[i] = next((w for w in (1, 2) if span.contains_all(scroll.row(w))), None)
+            hyp.delta_rows[i] = rows[i,]
             if hyp.delta_rows[i] is None:
                 hyp.rows_in_delta = False
                 hyp.failures.append(f"component {i}: no scroll row inside (Delta_{i})")
         for j in range(i + 1, spec.l + 1):
-            span = spec.span(spec.p(j))
-            hyp.p_rows[i, j] = next((w for w in (1, 2) if span.contains_all(scroll.row(w))), None)
+            hyp.p_rows[i, j] = rows[i, j]
             if hyp.p_rows[i, j] is None:
                 hyp.rows_in_p = False
                 hyp.failures.append(f"component {i}: no scroll row inside (P_{j})")

@@ -342,10 +342,11 @@ class IdealHandle:
 
     @staticmethod
     def from_json(obj) -> "IdealHandle":
-        from .poly import parse
+        from .poly import json_list, parse
 
         ring = Ring.from_json(obj["ring"])
-        return IdealHandle(ring, [parse(ring, s) for s in obj["gens"]])
+        gens = json_list(obj["gens"], "polynomial strings in 'gens'")
+        return IdealHandle(ring, [parse(ring, s) for s in gens])
 
     def __repr__(self) -> str:
         return f"IdealHandle({len(self.generators)} gens over {','.join(self.ring.variables)})"

@@ -236,7 +236,8 @@ class Ring:
 
     @staticmethod
     def from_json(obj) -> "Ring":
-        return Ring(tuple(obj["vars"]), FieldSpec.from_json(obj.get("field", "QQ")))
+        return Ring(tuple(json_list(obj["vars"], "variable names in 'vars'")),
+                    FieldSpec.from_json(obj.get("field", "QQ")))
 
 
 # --- monomials (plain exponent tuples) --------------------------------------
@@ -720,6 +721,13 @@ class _Parser:
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected token {tok!r}")
+
+
+def json_list(doc, what: str) -> list:
+    """``doc`` if it is a JSON list; else TypeError (a string would be read per character)."""
+    if not isinstance(doc, list):
+        raise TypeError(f"expected a JSON list of {what}")
+    return doc
 
 
 def parse(ring: Ring, text: str) -> Polynomial:

@@ -8,8 +8,9 @@ the concatenated matrix generate the ideal of a rational normal scroll.
 This module supplies the minors, Verdi's explicit up-to-radical generators
 for a single non-generic block, the arithmetical-rank numbers for the
 all-generic case, and the classification of scroll matrices whose minor ideal
-sits inside a linear ideal (Delta) -- decided by exact linear algebra on the
-decomposition L = L' + H with L' in the span and H in a fixed complement.
+sits inside a linear ideal (Delta).  ``span_containment`` decides containment
+from one residual H per entry (L = L' + H, L' in the span) against a span it is
+given; ``classify_modulo`` sorts a contained matrix into its case from them.
 """
 
 from __future__ import annotations
@@ -120,11 +121,6 @@ class ScrollMatrix:
             out.extend(b.entries)
         return out
 
-    def is_standard_form(self) -> bool:
-        """All entries across blocks linearly independent."""
-        entries = self.all_entries()
-        return LinearSpan(self.ring, entries).dim == len(entries)
-
     def without_block(self, index: int) -> "ScrollMatrix":
         """Delete the 1-based block ``index``; at least one block must remain."""
         rest = tuple(b for i, b in enumerate(self.blocks, start=1) if i != index)
@@ -135,11 +131,12 @@ class ScrollMatrix:
 
     @staticmethod
     def from_json(ring: Ring, obj) -> "ScrollMatrix":
-        from .poly import parse
+        from .poly import json_list, parse
 
         blocks = [
-            ScrollBlock(tuple(parse(ring, s) for s in blk["entries"]))
-            for blk in obj["blocks"]
+            ScrollBlock(tuple(parse(ring, s) for s in
+                              json_list(blk["entries"], "polynomial strings in 'entries'")))
+            for blk in json_list(obj["blocks"], "scroll blocks in 'blocks'")
         ]
         return ScrollMatrix(tuple(blocks))
 
@@ -291,45 +288,50 @@ class ClassificationError(ScrollstciError):
     """The case analysis reached a state the containment should rule out."""
 
 
-def classify_modulo(matrix: ScrollMatrix, delta: Sequence[Polynomial]) -> ScrollClassification:
-    """Classify how the minor ideal of ``matrix`` sits inside (Delta).
+def span_containment(matrix: ScrollMatrix, span: LinearSpan) -> tuple[list, Polynomial | None]:
+    """(residuals, witness): whether the minor ideal of ``matrix`` lies in (span).
 
-    Containment itself is decided by linear algebra: write each entry as
-    L = L' + H with L' in span(Delta) and H in the complement spanned by the
-    non-pivot coordinates; the minor ideal is contained iff all 2x2 minors of
-    the H-matrix vanish identically.
-    """
-    ring = matrix.ring
-    span = LinearSpan(ring, delta)
+    Each entry is L' + H, L' in the span and H its residual (one list per
+    block); the minor ideal is contained iff every 2x2 minor of the H-matrix
+    vanishes.  ``witness`` is the first minor outside, in lexicographic column
+    pair order, or None."""
     residuals = [[span.residual(e) for e in b.entries] for b in matrix.blocks]
-
+    rescols = [(res[j], res[j + 1]) for res in residuals for j in range(len(res) - 1)]
     cols = matrix.columns()
-    rescols: list[tuple[Polynomial, Polynomial]] = []
-    for res in residuals:
-        rescols.extend((res[j], res[j + 1]) for j in range(len(res) - 1))
-    for p in range(len(cols)):
-        hp_top, hp_bot = rescols[p]
+    for p, (hp_top, hp_bot) in enumerate(rescols):
         for q in range(p + 1, len(cols)):
             hq_top, hq_bot = rescols[q]
             if not (hp_top * hq_bot - hq_top * hp_bot).is_zero():
-                tp, bp = cols[p]
-                tq, bq = cols[q]
-                return ScrollClassification(
-                    case="not_contained",
-                    witness_minor=tp * bq - tq * bp,
-                )
+                (tp, bp), (tq, bq) = cols[p], cols[q]
+                return residuals, tp * bq - tq * bp
+    return residuals, None
+
+
+def rows_in_span(residuals) -> tuple[bool, bool]:
+    """Whether rows 1 and 2 lie in the span, from ``span_containment``'s residuals."""
+    return (all(r.is_zero() for res in residuals for r in res[:-1]),
+            all(r.is_zero() for res in residuals for r in res[1:]))
+
+
+def classify_modulo(matrix: ScrollMatrix, delta: Sequence[Polynomial]) -> ScrollClassification:
+    """Classify how the minor ideal of ``matrix`` sits inside (Delta), by the
+    residuals of ``span_containment``."""
+    span = LinearSpan(matrix.ring, delta)
+    residuals, witness = span_containment(matrix, span)
+    if witness is not None:
+        return ScrollClassification(case="not_contained", witness_minor=witness)
     return _classify_contained(matrix, span, residuals)
 
 
 def _classify_contained(matrix, span, residuals) -> ScrollClassification:
+    # deleting a block keeps the containment and the other blocks' residuals
     if all(b.is_generic for b in matrix.blocks):
         return _classify_generic(matrix, span, residuals)
     return _classify_mixed(matrix, span, residuals)
 
 
 def _classify_generic(matrix, span, residuals) -> ScrollClassification:
-    row1_in = all(res[0].is_zero() for res in residuals)
-    row2_in = all(res[1].is_zero() for res in residuals)
+    row1_in, row2_in = rows_in_span(residuals)
     full_cols = [i for i, res in enumerate(residuals, start=1)
                  if res[0].is_zero() and res[1].is_zero()]
     secondary: list[dict] = []
@@ -348,7 +350,8 @@ def _classify_generic(matrix, span, residuals) -> ScrollClassification:
         idx = full_cols[0]
         inner = None
         if matrix.ncols - 1 >= 2:
-            inner = classify_modulo(matrix.without_block(idx), span.forms)
+            inner = _classify_contained(matrix.without_block(idx), span,
+                                        residuals[:idx - 1] + residuals[idx:])
         for i in full_cols[1:]:
             secondary.append({"case": "generic_column_deleted", "column_index": i})
         return ScrollClassification(case="generic_column_deleted",
@@ -389,8 +392,7 @@ def _classify_generic(matrix, span, residuals) -> ScrollClassification:
 
 
 def _classify_mixed(matrix, span, residuals) -> ScrollClassification:
-    row1_in = all(r.is_zero() for res in residuals for r in res[:-1])
-    row2_in = all(r.is_zero() for res in residuals for r in res[1:])
+    row1_in, row2_in = rows_in_span(residuals)
     full_blocks = [
         i for i, res in enumerate(residuals, start=1)
         if all(r.is_zero() for r in res) and not matrix.blocks[i - 1].is_generic
@@ -411,7 +413,7 @@ def _classify_mixed(matrix, span, residuals) -> ScrollClassification:
         rest = matrix.without_block(idx) if len(matrix.blocks) > 1 else None
         inner = None
         if rest is not None and rest.ncols >= 2:
-            inner = classify_modulo(rest, span.forms)
+            inner = _classify_contained(rest, span, residuals[:idx - 1] + residuals[idx:])
         for i in full_blocks[1:]:
             secondary.append({"case": "block_in_delta", "block_index": i})
         return ScrollClassification(case="block_in_delta", block_index=idx,
@@ -468,19 +470,11 @@ def replay_classification(matrix: ScrollMatrix, delta: Sequence[Polynomial],
         return result.witness_minor is not None
     if result.case in ("row_in_delta", "generic_line"):
         return span.contains_all(matrix.row(result.row))
-    if result.case == "block_in_delta":
-        block = matrix.blocks[result.block_index - 1]
-        ok = span.contains_all(block.entries)
+    if result.case in ("block_in_delta", "generic_column_deleted"):
+        index = result.block_index if result.case == "block_in_delta" else result.column_index
+        ok = span.contains_all(matrix.blocks[index - 1].entries)
         if result.inner is not None:
-            ok = ok and replay_classification(
-                matrix.without_block(result.block_index), delta, result.inner)
-        return ok
-    if result.case == "generic_column_deleted":
-        block = matrix.blocks[result.column_index - 1]
-        ok = span.contains_all(block.entries)
-        if result.inner is not None:
-            ok = ok and replay_classification(
-                matrix.without_block(result.column_index), delta, result.inner)
+            ok = ok and replay_classification(matrix.without_block(index), delta, result.inner)
         return ok
     if result.case in ("H_alpha", "generic_shared_alpha"):
         if result.alpha == 0:

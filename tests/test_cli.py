@@ -3,6 +3,9 @@
 import json
 import time
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from scrollstci.cli import main, run
 from scrollstci.poly import Ring, parse
 
@@ -93,6 +96,18 @@ def test_classify(tmp_path, capsys):
     assert code == 0 and doc["payload"]["case"] == "row_in_delta"
     doc_in["delta"] = ["x"]
     path.write_text(json.dumps(doc_in))
+    code, doc = invoke(capsys, "classify", str(path))
+    assert code == 1 and doc["payload"]["case"] == "not_contained"
+
+
+def test_classify_file_without_delta_is_refused(tmp_path, capsys):
+    doc_in = {"ring": {"vars": ["x", "y", "z"]}, "blocks": [{"entries": ["x", "y", "z"]}]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc_in))
+    code, doc = invoke(capsys, "classify", str(path))
+    assert code == 2
+    assert doc["payload"]["message"] == "classification needs a 'delta' list in the input file"
+    path.write_text(json.dumps({**doc_in, "delta": []}))  # classified modulo (0)
     code, doc = invoke(capsys, "classify", str(path))
     assert code == 1 and doc["payload"]["case"] == "not_contained"
 
@@ -234,6 +249,52 @@ def test_wrongly_shaped_files_name_the_file_and_the_field(tmp_path, capsys):
     assert code == 2 and doc["payload"]["message"].startswith(f"malformed input in {str(odd)!r}")
 
 
+_SCROLL = {"blocks": [{"entries": ["x", "y", "z"]}]}
+_SPEC = {"ring": {"vars": ["x", "y", "z", "u"]},
+         "components": [{"scroll": _SCROLL},
+                        {"delta": ["u"], "p": ["x", "y"], "tilde_delta": ["u"], "tilde_p": ["x"]}]}
+
+
+def _replaced(doc, path, value):
+    """``doc`` with the value at ``path`` (keys and list indices) replaced."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    owner = doc
+    for key in parents:
+        owner = owner[key]
+    owner[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("argv, doc, what", [
+    (["gb"], {"ring": {"vars": ["x", "y"]}, "gens": "xy"}, "polynomial strings in 'gens'"),
+    (["gb"], {"ring": {"vars": "xy"}, "gens": ["x"]}, "variable names in 'vars'"),
+    (["validate"], _replaced(_SPEC, ["components"], "xy"), "spec components in 'components'"),
+    (["validate"], _replaced(_SPEC, ["components", 0, "scroll", "blocks"], "xyz"),
+     "scroll blocks in 'blocks'"),
+    (["validate"], _replaced(_SPEC, ["components", 0, "scroll", "blocks", 0, "entries"], "xyz"),
+     "polynomial strings in 'entries'"),
+    (["validate"], _replaced(_SPEC, ["components", 1, "delta"], "u"),
+     "polynomial strings in 'delta'"),
+    (["validate"], _replaced(_SPEC, ["components", 1, "p"], "xy"), "polynomial strings in 'p'"),
+    (["synth"], _replaced(_SPEC, ["components", 1, "tilde_delta"], "u"),
+     "polynomial strings in 'tilde_delta'"),
+    (["synth"], _replaced(_SPEC, ["components", 1, "tilde_p"], "x"),
+     "polynomial strings in 'tilde_p'"),
+    (["classify"], {"ring": {"vars": ["x", "y", "z"]}, **_SCROLL, "delta": "xy"},
+     "polynomial strings in 'delta'"),
+    (["lattice", "--basis-file"], ["12", "21"], "integers in each vector"),
+], ids=["gens", "vars", "components", "blocks", "entries", "delta", "p", "tilde_delta",
+        "tilde_p", "classify-delta", "basis-vector"])
+def test_a_string_is_not_read_as_a_json_list(tmp_path, capsys, argv, doc, what):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out = invoke(capsys, *argv, str(path))
+    assert code == 2
+    assert out["payload"]["message"] == (
+        f"malformed input in {str(path)!r}: expected a JSON list of {what}")
+
+
 def test_parse_error_in_a_file_names_the_file(tmp_path, capsys):
     path = write_ideal(tmp_path, "q.json", ["x"], ["x + q"])
     code, doc = invoke(capsys, "gb", path)
@@ -373,3 +434,80 @@ def test_run_returns_command_result():
     assert result.status == "ok"
     assert result.payload == {"projdim": 6}
     assert result.exit_code == 0
+
+
+# --- fuzzed exit-code contract ---------------------------------------------------
+
+# the payload fields that carry a verdict; exit 1 needs one of them false
+_VERDICTS = ("member", "equal", "contained", "ok", "verified", "fiber_shape")
+
+
+def _check_contract(argv):
+    result = run(["--timeout", "1"] + argv)  # never raises
+    assert result.exit_code in (0, 1, 2)
+    if result.exit_code == 1:
+        assert result.status in ("false", "invalid")
+        assert any(result.payload.get(key) is False for key in _VERDICTS)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+def _document(fields):
+    """One document every file-taking command can read: an ideal, a scroll
+    with a Delta, and a two-component spec."""
+    scroll = {"blocks": [{"entries": fields["entries"]}]}
+    return {"ring": {"vars": fields["vars"]}, "gens": fields["gens"], "scroll": scroll,
+            "delta": fields["delta"],
+            "components": [{"scroll": scroll}, {"delta": fields["delta"], "p": ["x", "y"]}]}
+
+
+_VALID = {"vars": ["x", "y", "z", "u"], "gens": ["x*z - y^2", "u"],
+          "entries": ["x", "y", "z"], "delta": ["u"]}
+# arbitrary JSON, or a valid document with up to two fields holding arbitrary text or JSON
+_DOCUMENTS = st.one_of(_JSON, st.dictionaries(
+    st.sampled_from(sorted(_VALID)),
+    st.one_of(st.text(max_size=10), st.lists(st.text(max_size=6), min_size=1, max_size=3), _JSON),
+    max_size=2).map(lambda broken: _document({**_VALID, **broken})))
+
+_FILE_COMMANDS = [
+    ["gb"], ["member", "--poly", "x"], ["radmember", "--poly", "x"], ["minors"], ["verdi"],
+    ["classify"], ["validate"], ["projdim"], ["cd"], ["fibercheck"], ["ideal"], ["arabound"],
+    ["synth"], ["verify", "--gens", "x"], ["lattice", "--basis-file"],
+]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_DOCUMENTS)
+def test_exit_code_contract_holds_for_any_file(tmp_path, doc):
+    path = str(tmp_path / "fuzz.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    for argv in _FILE_COMMANDS:
+        _check_contract(argv + [path])
+    _check_contract(["radeq", path, path])
+    _check_contract(["intersect", path, path])
+    _check_contract(["verify", str(FIXTURES_DIR / "example-coordinate-lines.json"),
+                     "--gens-file", path])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(option=st.sampled_from(["--poly", "--gens", "--basis", "--block"]),
+       text=st.text(max_size=16))
+def test_exit_code_contract_holds_for_any_option_text(tmp_path, option, text):
+    ideal = write_ideal(tmp_path, "i.json", ["x", "y"], ["x^2", "x*y"])
+    spec = str(FIXTURES_DIR / "example-coordinate-lines.json")
+    commands = {
+        "--poly": [["member", ideal], ["radmember", ideal]],
+        "--gens": [["verify", spec]],
+        "--basis": [["lattice"]],
+        "--block": [["minors"], ["verdi"], ["classify"]],
+    }[option]
+    for argv in commands:
+        _check_contract(argv + [option, text])

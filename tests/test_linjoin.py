@@ -129,6 +129,23 @@ def test_condition_d_failure_witness():
     assert failed[0].witness == "x0*x2 - x1^2"
 
 
+def test_dependent_scroll_entries_are_reported_before_meeting_the_linear_part():
+    ring = Ring(("a", "b", "c"))
+    a, b = ring.variable("a"), ring.variable("b")
+    dependent = ScrollMatrix((ScrollBlock((a, b, a)),))
+    spec = TwoLinearSpec(ring, (ComponentSpec(scroll=dependent),))
+    assert [f.message for f in validate(spec).failures if f.condition == "structure"] == [
+        "scroll entries of component 1 are linearly dependent",
+        "scroll entries of component 1 meet its linear part",
+    ]
+    independent = ScrollMatrix((ScrollBlock((a, b, ring.variable("c"))),))
+    assert validate(TwoLinearSpec(ring, (ComponentSpec(scroll=independent),))).ok
+    meeting = TwoLinearSpec(ring, (ComponentSpec(scroll=independent),
+                                   ComponentSpec(delta=(a,), p_forms=(b,))))
+    assert [f.message for f in validate(meeting).failures if f.condition == "structure"] == [
+        "scroll entries of component 1 meet its linear part"]
+
+
 def _groebner_f_failures(spec):
     """Condition (f) by the Groebner route: fold the intersection of the (Q_j),
     then test each of its generators against (P_k, D_{k-1}).  Failing k."""

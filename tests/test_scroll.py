@@ -1,9 +1,13 @@
 """Scroll matrices: minors, Verdi generators, classification with witnesses."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
+from scrollstci import fixtures
+from scrollstci.linjoin import ComponentSpec, TwoLinearSpec, validate
 from scrollstci.oracle import IdealHandle, ideal_member, radical_equal
 from scrollstci.poly import Ring, ScrollstciError, linear_span_dim, parse
 from scrollstci.scroll import (
@@ -361,17 +365,47 @@ def test_classification_fuzz_against_oracle():
     assert contained_seen >= 30 and not_contained_seen >= 30
 
 
-def test_standard_form_flag():
-    ring = Ring(("a", "b", "c"))
-    good = generic_matrix(ring, [("a", "b")])
-    assert good.is_standard_form()
-    bad = ScrollMatrix((ScrollBlock((ring.variable("a"), ring.variable("a"))),))
-    assert not bad.is_standard_form()
-
-
 def test_scroll_json_round_trip():
     ring = Ring(("x0", "x1", "x2", "u"))
     block = ScrollBlock((parse(ring, "x0"), parse(ring, "x1 - u"), parse(ring, "x2")))
     matrix = ScrollMatrix((block,))
     doc = matrix.to_json()
     assert ScrollMatrix.from_json(ring, doc) == matrix
+
+
+def _pinned_specs():
+    """The specs of ``spec_outputs.json`` and of the spec fixtures, each also
+    with its linear parts in reverse component order, which breaks (d) and (e)."""
+    recorded = json.loads((Path(__file__).resolve().parent / "spec_outputs.json").read_text())
+    specs = [TwoLinearSpec.from_json(c["spec"])
+             for kind in ("validate", "synthesize") for c in recorded[kind]]
+    specs += [builder() for builder in fixtures.SPEC_FIXTURES.values()]
+    return specs + [TwoLinearSpec(spec.ring, tuple(
+        ComponentSpec(scroll=comp.scroll, delta=other.delta, p_forms=other.p_forms)
+        for comp, other in zip(spec.components, reversed(spec.components))))
+        for spec in specs]
+
+
+def test_classification_agrees_with_validate_on_the_pinned_specs():
+    """``validate`` decides (d) and (e) without the case analysis; on every
+    scroll-against-span pair it asks, the case analysis must run through, replay
+    its witnesses, and give the same verdict and witness minor."""
+    seen = {True: 0, False: 0}
+    for spec in _pinned_specs():
+        failures = {(f.condition, f.indices): f.witness for f in validate(spec).failures}
+        for i in range(1, spec.l + 1):
+            matrix = spec.component(i).scroll
+            if matrix is None or matrix.ncols < 2:
+                continue
+            questions = [("d", (i,), spec.delta(i))] if i >= 2 else []
+            questions += [("e", (i, j), spec.p(j)) for j in range(i + 1, spec.l + 1)]
+            for condition, indices, forms in questions:
+                result = classify_modulo(matrix, forms)  # raises no ClassificationError
+                witness = failures.get((condition, indices))
+                assert result.contained == (witness is None)
+                if result.contained:
+                    assert replay_classification(matrix, forms, result)
+                else:
+                    assert str(result.witness_minor) == witness
+                seen[result.contained] += 1
+    assert seen[True] > 50 and seen[False] > 50
