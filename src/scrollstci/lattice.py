@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .linjoin import TwoLinearSpec
 from .oracle import IdealHandle, saturate
-from .poly import Polynomial, Ring, ScrollstciError, is_variable
+from .poly import Polynomial, Ring, ScrollstciError, is_variable, json_int
 
 
 class LatticeError(ScrollstciError):
@@ -35,7 +35,8 @@ class LatticeBasis:
     vectors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        vecs = tuple(tuple(int(x) for x in v) for v in self.vectors)
+        vecs = tuple(tuple(json_int(x, "a basis vector entry") for x in v)
+                     for v in self.vectors)
         object.__setattr__(self, "vectors", vecs)
         if not vecs:
             raise LatticeError("empty lattice basis")

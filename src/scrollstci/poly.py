@@ -12,19 +12,27 @@ only the thread (or task) that set it: a new thread starts with no deadline.
 Products check it once per term of the left factor, so powering and parsing
 are bounded as well as the Groebner loops built on top.
 
-Coefficients are `fractions.Fraction` over the rationals and plain ints in
-``[0, p)`` over a prime field.  There is no floating point anywhere: radical
-membership certificates must be exact.
+Coefficients have one canonical form per field.  Over the rationals a
+coefficient is a plain int when it is integral and a `fractions.Fraction` only
+when its denominator exceeds 1, so the integer arithmetic that dominates the
+kernels never builds a Fraction; over a prime field it is an int in
+``[0, p)``.  Every `FieldSpec` operation returns this form, and each field
+chooses its operations once, when it is made.  ``Fraction(n) == n`` and both
+hash alike, so equality, hashing and printing do not depend on the form.
+There is no floating point anywhere: radical membership certificates must be
+exact.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import add, le, neg
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -76,32 +84,75 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# Rational scalars are held in canonical form: an int when integral, else a
+# Fraction whose denominator exceeds 1.  int arithmetic stays int; only a
+# result with a Fraction operand can be integral and is brought back to int.
+
+def _qq_normal(c: Fraction):
+    return c.numerator if c.denominator == 1 else c
+
+
+def _qq_add(a, b):
+    c = a + b
+    return c if c.__class__ is int else _qq_normal(c)
+
+
+def _qq_sub(a, b):
+    c = a - b
+    return c if c.__class__ is int else _qq_normal(c)
+
+
+def _qq_mul(a, b):
+    c = a * b
+    return c if c.__class__ is int else _qq_normal(c)
+
+
+def _fp_add(p, a, b):
+    return (a + b) % p
+
+
+def _fp_sub(p, a, b):
+    return (a - b) % p
+
+
+def _fp_mul(p, a, b):
+    return (a * b) % p
+
+
+def _fp_neg(p, a):
+    return (-a) % p
+
+
 @dataclass(frozen=True)
 class FieldSpec:
-    """Ground field: the rationals (``QQ``) or integers modulo a prime (``Fp``)."""
+    """Ground field: the rationals (``QQ``) or integers modulo a prime (``Fp``).
+
+    ``add``, ``sub``, ``mul`` and ``neg`` are chosen once per field when it is
+    made; they are plain attributes, not dataclass fields, so they take no
+    part in equality, hashing or the repr.
+    """
 
     kind: str
     p: int | None = None
+
+    zero = 0
+    one = 1
 
     def __post_init__(self) -> None:
         if self.kind == "QQ":
             if self.p is not None:
                 raise ScrollstciError("rational field takes no modulus")
+            ops = (_qq_add, _qq_sub, _qq_mul, neg)
         elif self.kind == "Fp":
             if self.p is None or not _is_prime(self.p):
                 raise ScrollstciError(f"modulus must be prime, got {self.p!r}")
+            ops = tuple(partial(op, self.p) for op in (_fp_add, _fp_sub, _fp_mul, _fp_neg))
         else:
             raise ScrollstciError(f"unknown field kind {self.kind!r}")
+        for name, op in zip(("add", "sub", "mul", "neg"), ops):
+            object.__setattr__(self, name, op)
 
     # --- scalar arithmetic -------------------------------------------------
-
-    @property
-    def zero(self):
-        return 0 if self.kind == "Fp" else Fraction(0)
-
-    @property
-    def one(self):
-        return 1 if self.kind == "Fp" else Fraction(1)
 
     def coerce(self, x):
         """Bring an int or Fraction into canonical scalar form."""
@@ -112,26 +163,16 @@ class FieldSpec:
                     raise ScrollstciError("denominator vanishes modulo p")
                 return (x.numerator * pow(den, self.p - 2, self.p)) % self.p
             return int(x) % self.p
-        return Fraction(x)
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.kind == "Fp" else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "Fp" else a - b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "Fp" else a * b
-
-    def neg(self, a):
-        return (-a) % self.p if self.kind == "Fp" else -a
+        return x if x.__class__ is int else _qq_normal(Fraction(x))
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.kind == "Fp":
             return pow(a, self.p - 2, self.p)
-        return Fraction(1) / a
+        # the inverse of +-1/d is the int +-d; any other inverse is a true fraction
+        n, d = a.numerator, a.denominator
+        return n * d if n in (1, -1) else Fraction(d, n)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -141,11 +182,8 @@ class FieldSpec:
         return self.kind == "QQ" and a < 0
 
     def format_scalar(self, a) -> str:
-        if self.kind == "Fp":
-            return str(a % self.p)
-        if a.denominator == 1:
-            return str(a.numerator)
-        return f"{a.numerator}/{a.denominator}"
+        # an int prints as itself and a Fraction as "n/d", or as n if integral
+        return str(a % self.p) if self.kind == "Fp" else str(a)
 
     def to_json(self):
         return "QQ" if self.kind == "QQ" else {"Fp": self.p}
@@ -155,7 +193,7 @@ class FieldSpec:
         if obj == "QQ":
             return QQ
         if isinstance(obj, dict) and set(obj) == {"Fp"}:
-            return FieldSpec("Fp", int(obj["Fp"]))
+            return FieldSpec("Fp", json_int(obj["Fp"], "the modulus in 'Fp'"))
         raise ScrollstciError(f"bad field description {obj!r}")
 
 
@@ -710,11 +748,8 @@ class _Parser:
                 k3, den = self.take()
                 if k3 != "int" or int(den) == 0:
                     raise ParseError("rational coefficients are written p/q with integers")
-                if self.ring.field.kind == "QQ":
-                    return self.ring.constant(Fraction(num, int(den)))
-                return self.ring.constant(
-                    self.ring.field.div(self.ring.field.coerce(num),
-                                        self.ring.field.coerce(int(den))))
+                field = self.ring.field
+                return self.ring.constant(field.div(field.coerce(num), field.coerce(int(den))))
             return self.ring.constant(num)
         if kind == "op" and tok == "(":
             inner = self.parse_expr()
@@ -727,6 +762,14 @@ def json_list(doc, what: str) -> list:
     """``doc`` if it is a JSON list; else TypeError (a string would be read per character)."""
     if not isinstance(doc, list):
         raise TypeError(f"expected a JSON list of {what}")
+    return doc
+
+
+def json_int(doc, what: str) -> int:
+    """``doc`` if it is an integer; else TypeError (``int`` would truncate a
+    float and read ``true``/``false`` as 1/0)."""
+    if doc.__class__ is not int:
+        raise TypeError(f"expected a JSON integer for {what}, got {json.dumps(doc)}")
     return doc
 
 

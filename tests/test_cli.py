@@ -320,6 +320,70 @@ def test_basis_file_must_hold_a_list(tmp_path, capsys):
         f"malformed input in {str(path)!r}: expected a JSON list of integer vectors")
 
 
+@pytest.mark.parametrize("argv, doc, what, shown", [
+    (["gb"], {"ring": {"vars": ["x", "y"], "field": {"Fp": 2.5}}, "gens": ["x^2 + y"]},
+     "the modulus in 'Fp'", "2.5"),
+    (["gb"], {"ring": {"vars": ["x", "y"], "field": {"Fp": True}}, "gens": ["x^2 + y"]},
+     "the modulus in 'Fp'", "true"),
+    (["lattice", "--basis-file"], [[1.5, -1]], "a basis vector entry", "1.5"),
+    (["lattice", "--basis-file"], [[1, -1], [False, True]], "a basis vector entry", "false"),
+], ids=["modulus-float", "modulus-bool", "basis-float", "basis-bool"])
+def test_a_float_or_boolean_is_not_read_as_an_integer(tmp_path, capsys, argv, doc, what, shown):
+    # int() would run gb over F_2 and take the lattice of (1, -1); both exited 0
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out = invoke(capsys, *argv, str(path))
+    assert code == 2
+    assert out["payload"]["message"] == (
+        f"malformed input in {str(path)!r}: expected a JSON integer for {what}, got {shown}")
+
+
+_HALVES = {"ring": {"vars": ["x", "y", "z"]},
+           "gens": ["2*x - y", "3*y^2 - 2*x*z", "x*z - 5*z^2"]}
+# x_i -> x_i + 2*x_{i+1} applied to a two-component leading-block spec (l = 2, c = 2)
+_BIDIAGONAL = {"ring": {"vars": ["m0", "m1", "m2", "m3", "d2", "e2"], "field": "QQ"},
+               "components": [
+                   {"scroll": {"blocks": [{"entries": ["m0 + 2*m1", "m1 + 2*m2", "m2 + 2*m3",
+                                                       "m3 + 2*d2"]}]},
+                    "delta": [], "p": []},
+                   {"scroll": None, "delta": ["d2 + 2*e2"],
+                    "p": ["e2", "m3 + 2*d2", "m1 + 2*m2", "m2 + 2*m3"]}]}
+
+
+@pytest.mark.parametrize("argv, doc, want", [
+    (["gb"], _HALVES,
+     {"status": "ok", "payload": {"basis": ["z^3", "y^2 - 10/3*z^2", "y*z - 10*z^2",
+                                            "x - 1/2*y"]}, "diagnostics": []}),
+    (["gb", "--order", "lex"], _HALVES,
+     {"status": "ok", "payload": {"basis": ["x - 1/2*y", "y^2 - 10/3*z^2", "y*z - 10*z^2",
+                                            "z^3"]}, "diagnostics": []}),
+    (["member", "--poly", "1/2*y^2 - x*y"], _HALVES,
+     {"status": "ok", "payload": {"member": True, "normal_form": "0"}, "diagnostics": []}),
+    (["member", "--poly", "y^2"], _HALVES,
+     {"status": "false", "payload": {"member": False, "normal_form": "10/3*z^2"},
+      "diagnostics": []}),
+    (["synth"], _BIDIAGONAL,
+     {"status": "ok", "payload": {
+         "generators": [
+             "m0*m2 + 2*m0*m3 - m1^2 - 2*m1*m2 + 4*m1*m3 - 4*m2^2",
+             "m0*m3^2 + 4*m0*m3*d2 + 4*m0*d2^2 - 2*m1*m2*m3 - 4*m1*m2*d2 - 2*m1*m3^2"
+             " + 8*m1*d2^2 + m2^3 + 2*m2^2*m3 - 8*m2^2*d2 + 4*m2*m3^2 - 16*m2*m3*d2 + 8*m3^3",
+             "d2*e2 + 2*e2^2",
+             "m3*d2 + 2*m3*e2 + 2*d2^2 + 4*d2*e2"],
+         "count": 4, "projdim": 4, "verified": True,
+         "provenance": [["verdi", 1, 1], ["verdi", 1, 2], ["tableau_row", 1], ["tableau_row", 2]],
+         "diagnostics": []}, "diagnostics": []}),
+], ids=["gb", "gb-lex", "member", "non-member", "synth-bidiagonal"])
+def test_outputs_over_qq_with_non_integral_coefficients_are_pinned(tmp_path, capsys,
+                                                                    argv, doc, want):
+    # recorded from the code that held every rational as a Fraction
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out = invoke(capsys, argv[0], str(path), *argv[1:])
+    assert out == want
+    assert code == (1 if want["status"] == "false" else 0)
+
+
 def test_unreadable_path_is_bad_input(tmp_path, capsys):
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe{}")  # not UTF-8

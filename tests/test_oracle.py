@@ -3,6 +3,7 @@
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -44,6 +45,8 @@ from scrollstci.poly import (
 )
 from scrollstci.scroll import ScrollBlock, minors_2x2, verdi_generators
 from scrollstci.synth import synthesize
+
+from conftest import assert_canonical
 
 R2 = Ring(("x", "y"))
 R3 = Ring(("x", "y", "z"))
@@ -505,13 +508,33 @@ def _reference_reduce_full(p, reducers, keyf, field):
     return out
 
 
-def _random_terms(rng, arity, field, nterms, top=3):
+def _random_terms(rng, arity, field, nterms, top=3, fractional=False):
     terms = {}
     for _ in range(nterms):
-        c = field.coerce(rng.randint(-4, 4))
+        num = rng.randint(-4, 4)
+        c = field.coerce(Fraction(num, rng.randint(1, 3)) if fractional else num)
         if c != 0:
             terms[tuple(rng.randint(0, top) for _ in range(arity))] = c
     return terms
+
+
+def _reduce_full_cases(order, field, fractional=False):
+    """50 seeded (polynomial, reducer generators) cases, leading monomials attached."""
+    rng = random.Random(11)
+    keyf = order.key()
+    for _ in range(50):
+        arity = rng.randint(2, 4)
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            g = _random_terms(rng, arity, field, rng.randint(1, 4), fractional=fractional)
+            if g:
+                gens.append((max(g, key=keyf), g))
+        yield _random_terms(rng, arity, field, rng.randint(1, 8), fractional=fractional), gens
+
+
+def _monic_reducers(gens, order, field):
+    keyf = order.key()
+    return sorted(((lm, _monic(g, lm, field)) for lm, g in gens), key=lambda t: keyf(t[0]))
 
 
 @pytest.mark.parametrize("field", [QQ, Fp(7)], ids=str)
@@ -519,18 +542,9 @@ def _random_terms(rng, arity, field, nterms, top=3):
 def test_heap_normal_form_matches_the_max_reference(order, field):
     # 50 polynomials and reducer sets per order and field; the first key of a
     # normal form is its leading monomial, so the key order must match too
-    rng = random.Random(11)
     keyf = order.key()
-    for _ in range(50):
-        arity = rng.randint(2, 4)
-        reducers = []
-        for _ in range(rng.randint(1, 4)):
-            g = _random_terms(rng, arity, field, rng.randint(1, 4))
-            if g:
-                lm = max(g, key=keyf)
-                reducers.append((lm, _monic(g, lm, field)))
-        reducers.sort(key=lambda t: keyf(t[0]))
-        p = _random_terms(rng, arity, field, rng.randint(1, 8))
+    for p, gens in _reduce_full_cases(order, field):
+        reducers = _monic_reducers(gens, order, field)
         got = _reduce_full(p, reducers, order, field)
         assert list(got.items()) == list(_reference_reduce_full(p, reducers, keyf, field).items())
 
@@ -682,6 +696,97 @@ def test_buchberger_reduces_pairs_in_the_order_of_the_set_reference(monkeypatch)
         monkeypatch.setattr(oracle, "_spoly", real_spoly)
         assert got == want
         assert [list(p.items()) for p in basis] == [list(p.items()) for p in want_basis]
+
+
+class _FractionEverywhere:
+    """The scalar arithmetic ``FieldSpec`` had before rationals were held as
+    ints when integral: every rational a Fraction, each operation branching on
+    the kind.  The kernels take it in place of a ``FieldSpec``."""
+
+    def __init__(self, kind, p=None):
+        self.kind, self.p = kind, p
+
+    @property
+    def zero(self):
+        return 0 if self.kind == "Fp" else Fraction(0)
+
+    @property
+    def one(self):
+        return 1 if self.kind == "Fp" else Fraction(1)
+
+    def coerce(self, x):
+        if self.kind == "Fp":
+            if isinstance(x, Fraction):
+                return (x.numerator * pow(x.denominator % self.p, self.p - 2, self.p)) % self.p
+            return int(x) % self.p
+        return Fraction(x)
+
+    def add(self, a, b):
+        return (a + b) % self.p if self.kind == "Fp" else a + b
+
+    def sub(self, a, b):
+        return (a - b) % self.p if self.kind == "Fp" else a - b
+
+    def mul(self, a, b):
+        return (a * b) % self.p if self.kind == "Fp" else a * b
+
+    def neg(self, a):
+        return (-a) % self.p if self.kind == "Fp" else -a
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        if self.kind == "Fp":
+            return pow(a, self.p - 2, self.p)
+        return Fraction(1) / a
+
+
+def _as_fractions(terms, old):
+    return {m: old.coerce(c) for m, c in terms.items()}
+
+
+_DIFFERENTIAL_FIELDS = [(QQ, False), (QQ, True), (Fp(7), False)]
+
+
+@pytest.mark.parametrize("field, fractional", _DIFFERENTIAL_FIELDS,
+                         ids=["QQ", "QQ-non-integral", "F7"])
+@pytest.mark.parametrize("order", [LEX, DEGLEX, DEGREVLEX, block_order(2)], ids=str)
+def test_reduce_full_matches_the_fraction_everywhere_field(order, field, fractional):
+    old = _FractionEverywhere(field.kind, field.p)
+    for p, gens in _reduce_full_cases(order, field, fractional):
+        got = _reduce_full(p, _monic_reducers(gens, order, field), order, field)
+        old_gens = [(lm, _as_fractions(g, old)) for lm, g in gens]
+        want = _reduce_full(_as_fractions(p, old), _monic_reducers(old_gens, order, old),
+                            order, old)
+        assert list(got.items()) == list(want.items())
+        assert_canonical(got.values(), field)
+
+
+def _buchberger_cases():
+    """The seeded ideals of the pair-order test, plus 12 over QQ with
+    non-integral coefficients."""
+    yield from _pair_cases()
+    rng = random.Random(29)
+    for n in range(12):
+        order = (DEGREVLEX, LEX, block_order(1))[n % 3]
+        seeds = [g for g in (_random_terms(rng, 3, QQ, 3, top=2, fractional=True)
+                             for _ in range(3)) if g]
+        yield seeds, 3, order, QQ, 0
+
+
+def test_buchberger_matches_the_fraction_everywhere_field():
+    fractions_seen = 0
+    for seeds, arity, order, field, prefix in _buchberger_cases():
+        old = _FractionEverywhere(field.kind, field.p)
+        with time_limit(60):  # a wrong inverse leaves reducers non-monic and may not end
+            got = _buchberger(seeds, arity, order, field, gb_prefix=prefix)
+        want = _buchberger([_as_fractions(s, old) for s in seeds], arity, order, old,
+                           gb_prefix=prefix)
+        assert [list(p.items()) for p in got] == [list(p.items()) for p in want]
+        for p in got:
+            assert_canonical(p.values(), field)
+            fractions_seen += any(type(c) is Fraction for c in p.values())
+    assert fractions_seen >= 5  # the QQ bases do carry true fractions
 
 
 def test_normal_form_shares_the_cached_basis_without_changing_it():

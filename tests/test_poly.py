@@ -6,10 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scrollstci.oracle import IdealHandle
 from scrollstci.poly import (
     DEGLEX,
     DEGREVLEX,
     LEX,
+    QQ,
+    FieldSpec,
     Fp,
     LinearSpan,
     OracleTimeout,
@@ -24,6 +27,7 @@ from scrollstci.poly import (
     format_poly,
     is_linear_form,
     linear_coeffs,
+    linear_form,
     linear_span_dim,
     parse,
     proportional,
@@ -31,6 +35,8 @@ from scrollstci.poly import (
     time_limit,
     transport,
 )
+
+from conftest import assert_canonical
 
 R2 = Ring(("x", "y"))
 R3 = Ring(("x", "y", "z"))
@@ -356,3 +362,48 @@ def test_linear_coeffs_rejects_nonlinear():
     with pytest.raises(ScrollstciError):
         linear_coeffs(P("x^2"))
     assert linear_coeffs(P("x - 3*y")) == (1, -3)
+
+
+# --- canonical scalars ------------------------------------------------------------
+
+def test_field_identity_ignores_the_chosen_operations():
+    assert FieldSpec("Fp", 7) == Fp(7) and FieldSpec("QQ") == QQ
+    assert hash(Fp(7)) == hash(("Fp", 7)) and hash(QQ) == hash(("QQ", None))
+    assert repr(Fp(7)) == "FieldSpec(kind='Fp', p=7)"
+    assert repr(QQ) == "FieldSpec(kind='QQ', p=None)"
+
+
+@st.composite
+def field_and_polys(draw):
+    """A field, its ring on x, y, z, a fixed text to parse and three polynomials
+    whose coefficients are non-integral rationals over QQ and ints over F_p."""
+    field = draw(st.sampled_from([QQ, Fp(2), Fp(7), Fp(101)]))
+    ring = Ring(("x", "y", "z"), field)
+    coeffs = (st.fractions(min_value=-4, max_value=4, max_denominator=4)
+              if field == QQ else st.integers(-10, 10))
+    polys = [Polynomial(ring, draw(st.dictionaries(small_monos, coeffs, max_size=3)))
+             for _ in range(3)]
+    text = "x - y + 1" if field == Fp(2) else "1/2*x - 2/3*y + 3/4*z^2 - 1/2*z^2"
+    return ring, text, polys
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_and_polys(), st.integers(0, 3))
+def test_every_coefficient_is_in_canonical_form(case, n):
+    # QQ: an int, or a Fraction whose denominator is not 1; F_p: an int in [0, p)
+    ring, text, (p, q, r) = case
+    parsed = parse(ring, text)
+    results = [parsed, parse(ring, format_poly(p)), p + q, p - q, p * q, (p - parsed) ** n,
+               -r, 2 * p, p * Fraction(1, 3)]
+    with time_limit(20):
+        ideal = IdealHandle(ring, [p, parsed])
+        results += list(ideal.groebner_basis()) + [ideal.normal_form(q * r + parsed)]
+        results += list(IdealHandle(ring, [p, q]).groebner_basis(LEX))
+    forms = [linear_form(ring, [c, 2 * c, -c]) for c in (1, 3)]
+    forms += [f for f in (parsed, p, q) if is_linear_form(f)]
+    span = LinearSpan(ring, forms)
+    results += [span.residual(f) for f in forms]
+    for f in results:
+        assert_canonical((c for _, c in f.items()), ring.field)
+    for row in span._rows:
+        assert_canonical(row, ring.field)
