@@ -26,6 +26,16 @@ P_k + D_{k-1} in (f) and ``projdim``) is reduced once per spec.  (d) and (e)
 take one residual per scroll entry against the spec's span, and the row flags
 read the same residuals; the case analysis of ``classify_modulo`` is not run.
 
+The intersection J_1 ∩ ... ∩ J_l of the component ideals is certified, not
+computed, where the spec allows: ``intersection_ideal`` folds from J_1 and,
+at step k, proves the product-presentation candidate
+I_k = minors(B_1..B_k) + sum_{j=2..k} Delta_j*P_j + D_k equal to the fold so
+far ∩ J_k by normal forms and Hilbert series
+(``oracle.certify_intersection``).  Elimination (``oracle.intersect``) takes
+over from the first step whose candidate is refused.  For a spec that passes
+``validate`` the candidates normally hold; ``validate`` accepts a few on
+which one does not, and ``full_ideal`` refuses those.
+
 ``projdim`` evaluates max_i dim(P_i + D_{i-1}) - 1 for i = 2..l, which equals
 the projective dimension of the quotient by the intersection when the spec
 passes ``validate``; it does not validate.  ``cohom_dim`` validates, then
@@ -367,37 +377,64 @@ def component_ideal(spec: TwoLinearSpec, i: int) -> IdealHandle:
 
 
 def intersection_ideal(spec: TwoLinearSpec) -> IdealHandle:
-    return oracle.intersect_many([component_ideal(spec, i) for i in range(1, spec.l + 1)])
+    """J_1 ∩ ... ∩ J_l, folded left to right from J_1.
+
+    Step k tries the candidate I_k = minors(B_1..B_k) + sum_{j=2..k}
+    Delta_j*P_j + D_k (``_presentation`` plus D_k) and keeps it when
+    ``oracle.certify_intersection`` proves it equal to the fold so far ∩ J_k;
+    otherwise it computes that intersection by elimination, and so do the
+    later steps, which try no candidate: on a spec the presentation does not
+    fit, each refused candidate is work thrown away.  When every step holds,
+    the result is I_l, whose generators are ``full_ideal``'s, with its
+    degrevlex basis cached.
+    """
+    acc = component_ideal(spec, 1)
+    certifying = True
+    for k in range(2, spec.l + 1):
+        J_k = component_ideal(spec, k)
+        if certifying:
+            candidate = IdealHandle(spec.ring, _presentation(spec, k) + list(spec.d_space(k)))
+            certifying = oracle.certify_intersection(candidate, acc, J_k)
+        acc = candidate if certifying else oracle.intersect(acc, J_k)
+    return acc
 
 
-def product_generators(spec: TwoLinearSpec) -> list[Polynomial]:
-    """All products f*g with f in Delta_j, g in P_j, j = 2..l."""
+def product_generators(spec: TwoLinearSpec, k: int | None = None) -> list[Polynomial]:
+    """All products f*g with f in Delta_j, g in P_j, j = 2..k (default l)."""
     out: list[Polynomial] = []
-    for j in range(2, spec.l + 1):
+    for j in range(2, (spec.l if k is None else k) + 1):
         for f in spec.delta(j):
             for g in spec.p(j):
                 out.append(f * g)
     return out
 
 
-def full_ideal(spec: TwoLinearSpec, check: bool = True) -> IdealHandle:
-    """All scroll minors plus the Delta x P products.
-
-    When ``check`` is set the result is certified Groebner-equal to the
-    intersection of the component ideals; a mismatch raises.
-    """
+def _presentation(spec: TwoLinearSpec, k: int) -> list[Polynomial]:
+    """The scroll minors of components 1..k, then the Delta_j x P_j products, j = 2..k."""
     from .scroll import minors_2x2
 
-    require_valid(spec)
     gens: list[Polynomial] = []
-    for i in range(1, spec.l + 1):
+    for i in range(1, k + 1):
         scroll = spec.component(i).scroll
         if _scroll_has_minors(scroll):
             gens.extend(minors_2x2(scroll))
-    gens.extend(product_generators(spec))
-    handle = IdealHandle(spec.ring, gens)
+    return gens + product_generators(spec, k)
+
+
+def full_ideal(spec: TwoLinearSpec, check: bool = True) -> IdealHandle:
+    """All scroll minors plus the Delta x P products.
+
+    When ``check`` is set the result is certified equal to the intersection
+    of the component ideals; a mismatch raises.  The fold of
+    :func:`intersection_ideal` certifies this very presentation on its last
+    step, and then its handle, basis cached, is the result.
+    """
+    require_valid(spec)
+    handle = IdealHandle(spec.ring, _presentation(spec, spec.l))
     if check:
         inter = intersection_ideal(spec)
+        if inter.generators == handle.generators:
+            return inter
         if handle.groebner_basis() != inter.groebner_basis():
             raise SpecValidationError(
                 "generated ideal differs from the intersection of the components")

@@ -2,8 +2,8 @@
 
 Reduced Groebner bases via Buchberger's algorithm with the Gebauer-Moeller
 pair criteria (Gebauer & Moeller, JSC 6, 1988), and the ideal predicates
-built on top: membership, radical membership, intersection, elimination,
-saturation, and radical equality.
+built on top: membership, radical membership, intersection (computed, or
+certified from a candidate), elimination, saturation, and radical equality.
 
 The two kernels keep their state rather than recompute it.  Pending pairs
 map to the lcm of their leading monomials, computed once when the pair is
@@ -21,6 +21,12 @@ rad(H) = rad(I) throughout.  A generator no power up to ``_WITNESS_BOUND``
 closes is decided by the Rabinowitsch trick (1 in H + (1 - t*f_j)) against
 the current H: that is the fallback for long links and the only route to a
 negative verdict.
+
+``certify_intersection`` proves C = A ∩ B for homogeneous ideals without
+eliminating: C lies in A and in B by normal forms, and the Hilbert series,
+read off the degrevlex leading-term ideals by the pivot recursion, satisfy
+HS(S/C) = HS(S/A) + HS(S/B) - HS(S/(A + B)).  ``intersect`` and
+``intersect_many`` eliminate, and serve every other intersection.
 
 Instances in this toolkit are small (at most ~10 variables, low degree), so
 the engine favours exactness and determinism over asymptotics.  The reduced
@@ -122,8 +128,8 @@ def _reduce_full(p: dict, reducers: list[tuple[tuple, dict]], order: TermOrder, 
 def _spoly(f: dict, lmf: tuple, g: dict, lmg: tuple, field) -> dict:
     """S-polynomial of monic f, g."""
     lcm = mono_lcm(lmf, lmg)
-    sf = tuple(a - b for a, b in zip(lcm, lmf))
-    sg = tuple(a - b for a, b in zip(lcm, lmg))
+    sf = tuple(map(sub, lcm, lmf))
+    sg = tuple(map(sub, lcm, lmg))
     out: dict = {}
     for m, c in f.items():
         out[mono_mul(m, sf)] = c
@@ -559,6 +565,90 @@ def intersect_many(handles) -> IdealHandle:
     for nxt in handles[1:]:
         acc = intersect(acc, nxt)
     return acc
+
+
+def _hilbert_numerator(monomials) -> tuple[int, ...]:
+    """Coefficients, by degree, of N(T) with HS(S/(monomials)) = N(T)/(1-T)^n.
+
+    The pivot recursion (Bayer & Stillman, JSC 14, 1992; Bigatti, JPAA 119,
+    1997): generators coprime to all others each contribute a factor
+    1 - T^deg, and otherwise, for the variable x met by most generators,
+    N(I) = N(I + (x)) + T*N(I : x), with N(I + (x)) = (1 - T)*N(generators
+    free of x).  Ideals met twice in one call are computed once.
+    """
+    deadline = _DEADLINE.get()
+    memo: dict = {}
+
+    def minimal(gens) -> tuple:
+        kept: list = []
+        for m in sorted(set(gens), key=mono_deg):
+            if not any(mono_divides(g, m) for g in kept):
+                kept.append(m)
+        return tuple(sorted(kept))
+
+    def times_one_minus(num: list, d: int) -> list:
+        # num * (1 - T^d)
+        out = num + [0] * d
+        for i, c in enumerate(num):
+            out[i + d] -= c
+        return out
+
+    def numerator(gens: tuple) -> list:
+        _check_deadline(deadline)
+        cached = memo.get(gens)
+        if cached is not None:
+            return cached
+        support = [sum(1 for m in gens if m[x]) for x in range(len(gens[0]))] if gens else []
+        free, tied = [], []
+        for m in gens:
+            (free if all(support[x] == 1 for x, e in enumerate(m) if e) else tied).append(m)
+        if tied:
+            x = max(range(len(support)), key=support.__getitem__)
+            without = times_one_minus(numerator(tuple(m for m in tied if not m[x])), 1)
+            quotient = numerator(minimal(m[:x] + (m[x] - 1,) + m[x + 1:] if m[x] else m
+                                         for m in tied))
+            out = without + [0] * (len(quotient) + 1 - len(without))
+            for i, c in enumerate(quotient):
+                out[i + 1] += c
+        else:
+            out = [1]
+        for m in free:
+            out = times_one_minus(out, mono_deg(m))
+        memo[gens] = out
+        return out
+
+    coeffs = numerator(minimal(monomials))
+    while coeffs and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    return tuple(coeffs)
+
+
+def certify_intersection(C: IdealHandle, A: IdealHandle, B: IdealHandle) -> bool:
+    """True when C = A ∩ B is proved; False when the proof does not go through.
+
+    The proof needs homogeneous generators throughout.  Every generator of C
+    reduces to zero modulo A and modulo B, so C lies in A ∩ B; and the Hilbert
+    numerators of the degrevlex leading-term ideals satisfy
+    N(C) = N(A) + N(B) - N(A + B), which is N(A ∩ B) by the exact sequence
+    0 -> S/(A ∩ B) -> S/A (+) S/B -> S/(A + B) -> 0.  A graded inclusion with
+    equal Hilbert series is an equality.  The basis of A + B is grown from A's
+    cached one; C keeps the degrevlex basis computed here.
+    """
+    if not A.ring == B.ring == C.ring:
+        raise RingMismatchError("ideals live in different rings")
+    if not all(g.is_homogeneous() for h in (A, B, C) for g in h.generators):
+        return False
+    # a generator of A or B lies in it without a normal form
+    in_a, in_b = set(A.generators), set(B.generators)
+    if not all((g in in_a or A.contains(g)) and (g in in_b or B.contains(g))
+               for g in C.generators):
+        return False
+
+    nums = [_hilbert_numerator(g.leading_monomial(DEGREVLEX) for g in I.groebner_basis())
+            for I in (C, A, B, _extend(A, list(B.groebner_basis())))]
+    size = max(map(len, nums))
+    nums = [n + (0,) * (size - len(n)) for n in nums]
+    return all(c == a + b - s for c, a, b, s in zip(*nums))
 
 
 def radical_equal(I: IdealHandle, J: IdealHandle) -> bool:

@@ -486,7 +486,7 @@ class Polynomial:
         for m1, c1 in self._terms.items():
             _check_deadline(deadline)
             for m2, c2 in other._terms.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 c = fmul(c1, c2)
                 acc = out.get(m)
                 if acc is None:
@@ -749,7 +749,10 @@ class _Parser:
                 if k3 != "int" or int(den) == 0:
                     raise ParseError("rational coefficients are written p/q with integers")
                 field = self.ring.field
-                return self.ring.constant(field.div(field.coerce(num), field.coerce(int(den))))
+                d = field.coerce(int(den))
+                if d == 0:
+                    raise ParseError(f"denominator {den} vanishes modulo {field.p}")
+                return self.ring.constant(field.div(field.coerce(num), d))
             return self.ring.constant(num)
         if kind == "op" and tok == "(":
             inner = self.parse_expr()

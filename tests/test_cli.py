@@ -302,6 +302,17 @@ def test_parse_error_in_a_file_names_the_file(tmp_path, capsys):
     assert doc["payload"]["message"] == f"malformed input in {path!r}: unknown variable 'q'"
 
 
+def test_a_denominator_that_vanishes_modulo_p_is_malformed_input(tmp_path, capsys):
+    # it reached FieldSpec.inv(0) and answered "internal error: inverse of zero"
+    path = write_ideal(tmp_path, "half.json", ["x", "y"], ["1/2*x", "y"])
+    code, doc = invoke(capsys, "--field", "Fp=2", "gb", path)
+    assert code == 2 and doc["diagnostics"] == []
+    assert doc["payload"]["message"] == (
+        f"malformed input in {path!r}: denominator 2 vanishes modulo 2")
+    code, doc = invoke(capsys, "--field", "Fp=3", "gb", path)
+    assert code == 0 and doc["payload"]["basis"] == ["x", "y"]
+
+
 def test_gens_file_must_hold_a_list(capsys):
     spec = str(FIXTURES_DIR / "example-curve-1.json")
     other = str(FIXTURES_DIR / "example-curve-2.json")  # a spec object, not a list

@@ -4,8 +4,11 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scrollstci import oracle
 from scrollstci.linjoin import TwoLinearSpec
@@ -14,11 +17,13 @@ from scrollstci.oracle import (
     OracleTimeout,
     _buchberger,
     _extend,
+    _hilbert_numerator,
     _interreduce,
     _monic,
     _rabinowitsch_contains,
     _radical_chain,
     _reduce_full,
+    certify_intersection,
     eliminate,
     groebner_basis,
     ideal_member,
@@ -41,6 +46,7 @@ from scrollstci.poly import (
     RingMismatchError,
     ScrollstciError,
     block_order,
+    mono_divides,
     parse,
 )
 from scrollstci.scroll import ScrollBlock, minors_2x2, verdi_generators
@@ -329,6 +335,63 @@ def test_intersect_fold_order_irrelevant():
     a = intersect_many([I, J, K]).groebner_basis()
     b = intersect_many([K, I, J]).groebner_basis()
     assert a == b == ideal(R3, "x*y*z").groebner_basis()
+
+
+# --- Hilbert numerators and the intersection certificate -----------------------------
+
+def _series(numerator, arity, top):
+    """Coefficients of T^0..T^top in numerator(T) / (1 - T)^arity."""
+    return [sum(c * comb(d - i + arity - 1, arity - 1)
+                for i, c in enumerate(numerator) if i <= d)
+            for d in range(top + 1)]
+
+
+def _standard_monomials(gens, arity, top):
+    """How many monomials of each degree 0..top no generator divides."""
+    return [sum(1 for m in product(range(d + 1), repeat=arity)
+                if sum(m) == d and not any(mono_divides(g, m) for g in gens))
+            for d in range(top + 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(0, 3)] * n), max_size=6)))
+def test_hilbert_numerator_counts_the_standard_monomials(gens):
+    arity = len(gens[0]) if gens else 3
+    numerator = _hilbert_numerator(gens)
+    assert not numerator or numerator[-1] != 0
+    assert _series(numerator, arity, 6) == _standard_monomials(gens, arity, 6)
+
+
+def test_hilbert_numerator_of_the_twisted_cubic():
+    ring = Ring(("a", "b", "c", "d"))
+    block = ScrollBlock(tuple(ring.variable(v) for v in ring.variables))
+    basis = IdealHandle(ring, minors_2x2(block)).groebner_basis()
+    assert _hilbert_numerator(g.leading_monomial(DEGREVLEX) for g in basis) == (1, 0, -3, 2)
+    assert _hilbert_numerator([]) == (1,)
+    assert _hilbert_numerator([(0, 0, 0, 0), (1, 0, 0, 0)]) == ()
+
+
+def test_hilbert_numerator_honours_the_deadline():
+    gens = [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)]
+    with time_limit(0.0):
+        with pytest.raises(OracleTimeout):
+            _hilbert_numerator(gens)
+
+
+def test_certify_intersection_proves_or_refuses():
+    assert certify_intersection(ideal(R3, "x*y", "x*z"), ideal(R3, "x"), ideal(R3, "y", "z"))
+    # too large: z is not in (x); too small: x*z is missing
+    assert not certify_intersection(ideal(R3, "x*y", "x*z", "z"), ideal(R3, "x"),
+                                    ideal(R3, "y", "z"))
+    assert not certify_intersection(ideal(R3, "x*y"), ideal(R3, "x"), ideal(R3, "y", "z"))
+    # (x - 1)*y is the intersection, but the Hilbert series proves nothing
+    # for inhomogeneous ideals, so the certificate is refused
+    assert intersect(ideal(R2, "x - 1"), ideal(R2, "y")).groebner_basis() == \
+        ideal(R2, "x*y - y").groebner_basis()
+    assert not certify_intersection(ideal(R2, "x*y - y"), ideal(R2, "x - 1"), ideal(R2, "y"))
+    with pytest.raises(RingMismatchError):
+        certify_intersection(ideal(R2, "x*y"), ideal(R3, "x"), ideal(R2, "y"))
 
 
 # --- elimination ---------------------------------------------------------------------
