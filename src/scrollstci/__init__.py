@@ -15,8 +15,6 @@ from .poly import (
     ScrollstciError,
     TermOrder,
     block_order,
-    compare_monomials,
-    linear_span_dim,
     parse,
     substitute,
 )

@@ -19,8 +19,15 @@ links f_j^{k_j} in H, each a plain normal-form test; generators certified
 with k_j > 1 join H in batches, so later links may use them, and
 rad(H) = rad(I) throughout.  A generator no power up to ``_WITNESS_BOUND``
 closes is decided by the Rabinowitsch trick (1 in H + (1 - t*f_j)) against
-the current H: that is the fallback for long links and the only route to a
-negative verdict.
+the current H: that is the fallback for long links and the chain's only
+route to a negative verdict.
+
+Radical equality first compares Krull dimensions, since rad(I) = rad(J)
+forces dim S/I = dim S/J: ideals whose dimensions differ are unequal without
+a chain.  The dimension is read off the Hilbert numerator of the degrevlex
+leading-term ideal, which has the affine Hilbert function of S/I because
+degrevlex is degree-compatible (Cox, Little & O'Shea, ch. 9 section 3); so
+it holds for inhomogeneous ideals too.
 
 ``certify_intersection`` proves C = A ∩ B for homogeneous ideals without
 eliminating: C lies in A and in B by normal forms, and the Hilbert series,
@@ -35,7 +42,8 @@ yields the identical result.
 
 `IdealHandle` caches one reduced basis per term order and, next to it, the
 sorted reducer list its normal forms use, which shares the basis
-polynomials' term dicts.  A cache entry is written once and never mutated,
+polynomials' term dicts, and the Hilbert numerator of its degrevlex
+leading-term ideal.  A cache entry is written once and never mutated,
 nor are the shared dicts, so concurrent readers are safe and concurrent
 first computations merely duplicate work.  The deadline set by `time_limit`
 (see `poly`) lives in a context variable, so it bounds only the thread (or
@@ -46,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import accumulate, chain
 from operator import sub
 
 from .poly import (
@@ -312,6 +320,7 @@ class IdealHandle:
         self.generators: tuple[Polynomial, ...] = tuple(gens)
         self._cache: dict[TermOrder, tuple[Polynomial, ...]] = {}
         self._reducers: dict[TermOrder, list[tuple[tuple, dict]]] = {}
+        self._numerator: tuple[int, ...] | None = None
 
     def groebner_basis(self, order: TermOrder = DEGREVLEX) -> tuple[Polynomial, ...]:
         cached = self._cache.get(order)
@@ -339,6 +348,14 @@ class IdealHandle:
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
+
+    def hilbert_numerator(self) -> tuple[int, ...]:
+        """N(T) with HS(S/LT(I)) = N(T)/(1-T)^n, LT taken in degrevlex."""
+        if self._numerator is None:
+            # written once, like the basis cache: a second computation agrees
+            self._numerator = _hilbert_numerator(g.leading_monomial(DEGREVLEX)
+                                                 for g in self.groebner_basis(DEGREVLEX))
+        return self._numerator
 
     def to_json(self):
         return {
@@ -632,7 +649,8 @@ def certify_intersection(C: IdealHandle, A: IdealHandle, B: IdealHandle) -> bool
     N(C) = N(A) + N(B) - N(A + B), which is N(A ∩ B) by the exact sequence
     0 -> S/(A ∩ B) -> S/A (+) S/B -> S/(A + B) -> 0.  A graded inclusion with
     equal Hilbert series is an equality.  The basis of A + B is grown from A's
-    cached one; C keeps the degrevlex basis computed here.
+    cached one; C keeps the degrevlex basis and the numerator computed here,
+    and the numerators A and B already carry are not computed again.
     """
     if not A.ring == B.ring == C.ring:
         raise RingMismatchError("ideals live in different rings")
@@ -644,24 +662,45 @@ def certify_intersection(C: IdealHandle, A: IdealHandle, B: IdealHandle) -> bool
                for g in C.generators):
         return False
 
-    nums = [_hilbert_numerator(g.leading_monomial(DEGREVLEX) for g in I.groebner_basis())
-            for I in (C, A, B, _extend(A, list(B.groebner_basis())))]
+    nums = [I.hilbert_numerator() for I in (C, A, B, _extend(A, list(B.groebner_basis())))]
     size = max(map(len, nums))
     nums = [n + (0,) * (size - len(n)) for n in nums]
     return all(c == a + b - s for c, a, b, s in zip(*nums))
 
 
+def _dimension(I: IdealHandle) -> int:
+    """Krull dimension of S/I, and -1 for the unit ideal.
+
+    It is n less the multiplicity of T = 1 as a root of the Hilbert numerator
+    N(T): each root divides out one factor 1 - T of the denominator
+    (1 - T)^n.  The quotient of N by 1 - T has the partial sums of N as its
+    coefficients, the last of which is N(1) = 0.
+    """
+    num = I.hilbert_numerator()
+    if not num:
+        return -1
+    dim = I.ring.arity
+    while sum(num) == 0:
+        num = tuple(accumulate(num))[:-1]
+        dim -= 1
+    return dim
+
+
 def radical_equal(I: IdealHandle, J: IdealHandle) -> bool:
     """rad(I) == rad(J): equal reduced bases, or a radical chain both ways.
 
-    The chain of I's generators into J certifies rad(I) within rad(J) (and
-    the reverse chain the converse), each link a normal-form test against J
-    grown by the links before it, with the Rabinowitsch trick as fallback and
-    as the only route to False.
+    Ideals of different Krull dimension have different radicals, and the
+    answer is False without a chain.  Otherwise the chain of I's generators
+    into J certifies rad(I) within rad(J) (and the reverse chain the
+    converse), each link a normal-form test against J grown by the links
+    before it, with the Rabinowitsch trick as fallback and as the chain's
+    route to False.
     """
     if I.ring != J.ring:
         raise RingMismatchError("ideals live in different rings")
     if I.groebner_basis() == J.groebner_basis():
         return True
+    if _dimension(I) != _dimension(J):
+        return False
     return (_radical_chain(I.generators, J) is not None
             and _radical_chain(J.generators, I) is not None)

@@ -357,15 +357,6 @@ def order_from_string(text: str) -> TermOrder:
     return TermOrder(text)
 
 
-def compare_monomials(m1: tuple, m2: tuple, order: TermOrder) -> int:
-    """-1, 0 or 1 as m1 is less than, equal to or greater than m2."""
-    if len(m1) != len(m2):
-        raise ScrollstciError("monomial arity mismatch")
-    k = order.key()
-    a, b = k(tuple(m1)), k(tuple(m2))
-    return (a > b) - (a < b)
-
-
 class Polynomial:
     """Immutable sparse polynomial: a map monomial -> nonzero scalar."""
 
@@ -911,7 +902,10 @@ class LinearSpan:
 
 
 def linear_span_dim(forms: Sequence[Polynomial], ring: Ring | None = None) -> int:
-    """Rank of the coefficient matrix of a list of linear forms."""
+    """Rank of the coefficient matrix of a list of linear forms.
+
+    No caller in the package: ``bench/layers.py`` times it by this name.
+    """
     forms = list(forms)
     if not forms:
         return 0

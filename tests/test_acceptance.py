@@ -25,6 +25,7 @@ from scrollstci.linjoin import (
 from scrollstci.oracle import (
     IdealHandle,
     _rabinowitsch_contains,
+    _radical_chain,
     ideal_member,
     intersect,
     radical_equal,
@@ -73,6 +74,10 @@ def test_criterion_1_verdi_certification():
             # negative control: c - 1 generators cannot cut out a height-c
             # variety (Krull), so dropping F_c must lose radical equality
             assert not radical_equal(IdealHandle(ring, F[:-1]), minors)
+            if c <= 4:
+                # radical_equal refutes this by dimension; the chain, which
+                # ends in the Rabinowitsch trick, must refute it as well
+                assert _radical_chain(minors.generators, IdealHandle(ring, F[:-1])) is None
             if c <= 3:
                 # Rabinowitsch alone, against (F) itself, with no chain
                 assert all(_rabinowitsch_contains(IdealHandle(ring, F), m)

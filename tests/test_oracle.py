@@ -4,7 +4,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -16,6 +16,7 @@ from scrollstci.oracle import (
     IdealHandle,
     OracleTimeout,
     _buchberger,
+    _dimension,
     _extend,
     _hilbert_numerator,
     _interreduce,
@@ -379,6 +380,50 @@ def test_hilbert_numerator_honours_the_deadline():
             _hilbert_numerator(gens)
 
 
+def test_hilbert_numerator_is_computed_once_per_handle(monkeypatch):
+    calls = []
+    real = oracle._hilbert_numerator
+    monkeypatch.setattr(oracle, "_hilbert_numerator", lambda m: calls.append(1) or real(m))
+    A, B, C = ideal(R3, "x"), ideal(R3, "y", "z"), ideal(R3, "x*y", "x*z")
+    assert C.hilbert_numerator() == C.hilbert_numerator() == (1, 0, -2, 1)
+    assert len(calls) == 1
+    # C's numerator is reused; A, B and A + B are computed once each
+    assert certify_intersection(C, A, B)
+    assert len(calls) == 4
+    # a second certificate against the same A and B computes only A + B again
+    assert certify_intersection(C, A, B)
+    assert len(calls) == 5
+    assert not radical_equal(ideal(R3, "x"), C)
+    assert len(calls) == 6
+
+
+def _dimension_by_supports(gens, arity):
+    """dim S/(monomials), counted without Hilbert series: the size of the
+    largest set of variables that contains no generator's support."""
+    supports = [{x for x, e in enumerate(m) if e} for m in gens]
+    return max((r for r in range(arity + 1) for chosen in combinations(range(arity), r)
+                if not any(s <= set(chosen) for s in supports)), default=-1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(*[st.integers(0, 3)] * n), max_size=6))))
+def test_dimension_of_monomial_ideals(case):
+    arity, gens = case
+    ring = Ring(tuple(f"x{i}" for i in range(arity)))
+    I = IdealHandle(ring, [ring.monomial(m) for m in gens])
+    assert _dimension(I) == _dimension_by_supports(gens, arity)
+
+
+def test_dimension_fixed_cases():
+    assert _dimension(IdealHandle(R3, [])) == 3
+    assert _dimension(ideal(R3, "1")) == -1
+    assert _dimension(ideal(R3, "x - 2", "x*y + 1")) == 1
+    # inhomogeneous: the degrevlex leading terms carry the affine dimension
+    assert _dimension(ideal(R2, "x*y - 1")) == 1
+    assert _dimension(ideal(R2, "x - 1", "y - 2")) == 0
+
+
 def test_certify_intersection_proves_or_refuses():
     assert certify_intersection(ideal(R3, "x*y", "x*z"), ideal(R3, "x"), ideal(R3, "y", "z"))
     # too large: z is not in (x); too small: x*z is missing
@@ -480,6 +525,35 @@ def test_radical_equal_reflexive_symmetric_redundant():
     q = parse(R3, "y + 3*z")
     redundant = IdealHandle(R3, list(I.generators) + [p * q])
     assert radical_equal(I, redundant)
+
+
+def radical_pairs(field, seed, count):
+    """Seeded pairs of ideals in 3 variables, drawn from one pool of
+    generators built on random p, q, r, so that some pairs share a radical."""
+    ring = Ring(("x", "y", "z"), field)
+    rng = random.Random(seed)
+    monos = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)
+             if 0 < i + j + k <= 2]
+    for _ in range(count):
+        p, q, r = (random_poly(rng, ring, monos, 2) for _ in range(3))
+        pool = [p, q, r, p ** 2, p * q, q * r + p ** 2, p + q]
+        yield tuple(IdealHandle(ring, rng.sample(pool, rng.randint(1, 3))) for _ in range(2))
+
+
+@pytest.mark.parametrize("field,seed", [(QQ, 41), (Fp(7), 43)])
+def test_radical_equal_agrees_with_the_chain_alone(field, seed):
+    equal = by_dimension = 0
+    for I, J in radical_pairs(field, seed, 100):
+        chain = I.groebner_basis() == J.groebner_basis() or (
+            _radical_chain(I.generators, J) is not None
+            and _radical_chain(J.generators, I) is not None)
+        verdict = radical_equal(IdealHandle(I.ring, I.generators),
+                                IdealHandle(J.ring, J.generators))
+        assert verdict == chain
+        equal += verdict
+        by_dimension += _dimension(I) != _dimension(J)
+    # both verdicts occur, and the dimensions decide a share of the negatives
+    assert equal >= 10 and by_dimension >= 20
 
 
 def test_radical_equal_over_fp():
