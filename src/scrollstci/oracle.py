@@ -5,7 +5,21 @@ pair criteria (Gebauer & Moeller, JSC 6, 1988), and the ideal predicates
 built on top: membership, radical membership, intersection (computed, or
 certified from a candidate), elimination, saturation, and radical equality.
 
-The two kernels keep their state rather than recompute it.  Pending pairs
+The kernels (`_buchberger`, `_reduce_full`, `_spoly`, `_update`,
+`_interreduce`, `_certify`) work on packed monomials, as Singular does
+(Bachmann & Schoenemann, ISSAC 1998): each exponent vector is one int, with
+a field per variable and one for the degree (`_Packing`), so a product is
+one int addition, a divisibility test one subtraction and a mask, and an
+order comparison one int comparison.  The field width comes from the input:
+exponent fields start at 8 bits and double until they hold twice the
+largest input degree, and each has as many guard bits again.  A product
+whose guard bits are not clear has outgrown its fields; the run then starts
+again with fields twice as wide, so no input is refused for its exponents
+and every result is the one an unbounded representation would give.
+Polynomials, parsing, printing, linear algebra and the Hilbert recursion
+keep exponent tuples.
+
+The kernels keep their state rather than recompute it.  Pending pairs
 map to the lcm of their leading monomials, computed once when the pair is
 created, and a heap hands out the pair with the least (order key of the lcm,
 pair); pairs the criteria drop later stay in the heap and are skipped when
@@ -40,12 +54,15 @@ the engine favours exactness and determinism over asymptotics.  The reduced
 basis is unique per (ideal, order); recomputation or permuting generators
 yields the identical result.
 
-`IdealHandle` caches one reduced basis per term order and, next to it, the
-sorted reducer list its normal forms use, which shares the basis
-polynomials' term dicts, and the Hilbert numerator of its degrevlex
-leading-term ideal.  A cache entry is written once and never mutated,
-nor are the shared dicts, so concurrent readers are safe and concurrent
-first computations merely duplicate work.  The deadline set by `time_limit`
+`IdealHandle` caches one reduced basis per term order, both as
+polynomials and packed, with its packing and the sorted reducer list its
+normal forms use; and the Hilbert numerator of its degrevlex leading-term
+ideal.  Normal forms, `_extend`, `_rabinowitsch_contains` and
+`certify_intersection` reuse the packed basis; only an input too wide for
+its packing packs it again.  A cache entry is written once and never
+mutated, nor are the dicts it holds, so concurrent readers are safe and
+concurrent first computations merely duplicate work.  The only module-level
+state is the write-once memo of packings.  The deadline set by `time_limit`
 (see `poly`) lives in a context variable, so it bounds only the thread (or
 task) that set it: a new thread starts with no deadline.
 """
@@ -53,9 +70,10 @@ task) that set it: a new thread starts with no deadline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain
-from operator import sub
+from operator import lshift, or_
 
 from .poly import (
     _DEADLINE,
@@ -68,19 +86,111 @@ from .poly import (
     TermOrder,
     _check_deadline,
     block_order,
-    mono_coprime,
     mono_deg,
     mono_divides,
-    mono_lcm,
-    mono_mul,
     time_limit,
     transport,
 )
 
 
-# --- internal representation: dict monomial -> scalar -------------------------
+# --- packed monomials ---------------------------------------------------------
 
-def _monic(p: dict, lm: tuple, field) -> dict:
+class _Overflow(Exception):
+    """A product left its packing's exponent fields; the run starts again wider."""
+
+
+class _Packing:
+    """Exponent vectors of one (arity, order) packed into ints, ``bits`` per exponent.
+
+    Each variable owns a field ``2 * bits`` wide whose upper half, the guard,
+    stays clear while its exponent is below ``2**bits``.  The fields of the
+    graded tail (every variable for the degree orders, the block after the
+    first ``block`` variables, none for lex) sit lowest, then a field holding
+    their total degree, then the lex head with the first variable on top.
+    Products are sums, and two monomials are coprime iff their ``lcm`` is
+    their sum; the guard makes a | b one subtraction, and ``key`` negates the
+    tail fields of the degrevlex and block orders, so that one int
+    comparison decides the order.  A sum whose guard is not clear has left
+    the fields (`_Overflow`).
+    """
+
+    def __init__(self, arity: int, order: TermOrder, bits: int):
+        if order.kind == "deglex":
+            tail, head, negate = range(arity - 1, -1, -1), (), False
+        else:
+            k = arity if order.kind == "lex" else min(order.block, arity)
+            tail, head, negate = range(k, arity), range(k - 1, -1, -1), True
+        width = 2 * bits
+        shifts = [0] * arity
+        for slot, x in enumerate(tail):
+            shifts[x] = slot * width
+        deg_shift = len(tail) * width
+        for slot, x in enumerate(head, len(tail) + 1):
+            shifts[x] = slot * width
+        value, field = (1 << bits) - 1, (1 << width) - 1
+        guard = sum(value << (s + bits) for s in shifts)
+        low_guard = sum(1 << (s + bits) for s in shifts)
+        values = sum(value << s for s in shifts)
+        tail_values = sum(value << shifts[x] for x in tail)
+        # times ones, the top tail field holds the sum of all tail fields; no
+        # field carries while arity < 2**bits, which `_packed` ensures
+        ones = sum(1 << shifts[x] for x in tail)
+        top = max(len(tail) - 1, 0) * width
+        neg = (1 << deg_shift) - 1 if negate else 0
+
+        def with_degree(v: int) -> int:
+            return v | ((((v & tail_values) * ones) >> top) & field) << deg_shift
+
+        def lcm(a: int, b: int) -> int:
+            d = ((a | guard) - b) & low_guard  # the low guard bit is set where a >= b
+            take_a = d - (d >> bits)
+            return with_degree((a & take_a) | (b & (values ^ take_a)))
+
+        def encode(m: tuple) -> int:
+            return with_degree(sum(map(lshift, m, shifts)))
+
+        def decode(m: int) -> tuple:
+            return tuple(map(value.__and__, map(m.__rshift__, shifts)))
+
+        self.bits, self.width, self.guard, self.neg = bits, width, guard, neg
+        self.lcm, self.encode, self.decode = lcm, encode, decode
+        self.key = lambda m: m - ((m & neg) << 1)
+
+    def pack(self, terms: dict) -> dict:
+        encode = self.encode
+        return {encode(m): c for m, c in terms.items()}
+
+    def unpack(self, terms: dict) -> dict:
+        decode = self.decode
+        return {decode(m): c for m, c in terms.items()}
+
+
+_packing = cache(_Packing)  # the one write-once memo: one packing per (arity, order, bits)
+
+
+def _packed(arity: int, order: TermOrder, polys, run, bits: int = 8):
+    """``(pk, run(pk))`` for the narrowest packing ``pk``, at least ``bits``
+    wide, whose exponents reach twice the largest degree in ``polys`` and
+    whose fields can sum ``arity`` exponents; each `_Overflow` doubles the
+    width and runs ``run`` again, which computes the same result."""
+    need = max([arity] + [2 * max(map(sum, p), default=0) for p in polys])
+    while 1 << bits <= need:
+        bits *= 2
+    while True:
+        pk = _packing(arity, order, bits)
+        try:
+            return pk, run(pk)
+        except _Overflow:
+            bits *= 2
+
+
+# --- kernels on packed monomials: dict monomial -> scalar ------------------------
+#
+# `_reduce_full`, `_interreduce` and `_buchberger` also take exponent tuples
+# when given a `TermOrder` in place of a packing: they pack them, run packed
+# and unpack the result.
+
+def _monic(p: dict, lm, field) -> dict:
     c = p[lm]
     if c == field.one:
         return p
@@ -88,103 +198,116 @@ def _monic(p: dict, lm: tuple, field) -> dict:
     return {m: field.mul(inv, v) for m, v in p.items()}
 
 
-def _reduce_full(p: dict, reducers: list[tuple[tuple, dict]], order: TermOrder, field) -> dict:
+def _reduce_full(p: dict, reducers: list[tuple], pk, field) -> dict:
     """Full normal form of p modulo monic reducers (every term reduced).
 
     ``reducers`` are ``(lm, poly)`` pairs in ascending order of ``lm``; each
     term is reduced by the first whose ``lm`` divides it.  The terms still to
-    reduce sit in a heap, largest first, each pushed when it enters ``work``;
-    a popped term no longer in ``work`` has cancelled and is skipped.  Terms
-    enter the result in descending order, so its first key is its leading
-    monomial.
+    reduce sit in a heap of descending keys ``-pk.key(m)``, each pushed when
+    it enters ``work``; a popped term no longer in ``work`` has cancelled and
+    is skipped.  The descending key d = 2*(m & neg) - m gives m back as
+    2*(d & neg) - d, since m & neg and d & neg agree.  Terms enter the
+    result in descending order, so its first key is its leading monomial.
     """
-    dkey = order.descending_key()
+    if isinstance(pk, TermOrder):
+        if not p:
+            return {}
+        pk, r = _packed(len(next(iter(p))), pk, [p] + [g for _, g in reducers],
+                        lambda q: _reduce_full(q.pack(p), [(q.encode(lm), q.pack(g))
+                                                           for lm, g in reducers], q, field))
+        return pk.unpack(r)
+    neg, guard = pk.neg, pk.guard
     work = dict(p)
-    heap = [(dkey(m), m) for m in work]
+    heap = [((m & neg) << 1) - m for m in work]
     heapify(heap)
     out: dict = {}
     fsub, fmul, zero = field.sub, field.mul, field.zero
     deadline = _DEADLINE.get()
     while heap:
         _check_deadline(deadline)
-        m = heappop(heap)[1]
+        d = heappop(heap)
+        m = ((d & neg) << 1) - d
         c = work.pop(m, None)
         if c is None:
             continue
+        high = m | guard  # lm | m  iff  (high - lm) keeps every guard bit
         for lm, g in reducers:
-            if mono_divides(lm, m):
+            if (high - lm) & guard == guard:
                 break
         else:
             out[m] = c
             continue
-        shift = tuple(map(sub, m, lm))
+        shift = m - lm
         for mg, cg in g.items():
             if mg == lm:
                 continue
-            tm = mono_mul(mg, shift)
+            tm = mg + shift
             acc = work.get(tm)
             s = fsub(acc if acc is not None else zero, fmul(c, cg))
             if s == 0:
                 work.pop(tm, None)
             else:
                 if acc is None:
-                    heappush(heap, (dkey(tm), tm))
+                    if tm & guard:
+                        raise _Overflow
+                    heappush(heap, ((tm & neg) << 1) - tm)
                 work[tm] = s
     return out
 
 
-def _spoly(f: dict, lmf: tuple, g: dict, lmg: tuple, field) -> dict:
+def _spoly(f: dict, lmf: int, g: dict, lmg: int, pk: _Packing, field) -> dict:
     """S-polynomial of monic f, g."""
-    lcm = mono_lcm(lmf, lmg)
-    sf = tuple(map(sub, lcm, lmf))
-    sg = tuple(map(sub, lcm, lmg))
-    out: dict = {}
-    for m, c in f.items():
-        out[mono_mul(m, sf)] = c
+    lcm = pk.lcm(lmf, lmg)
+    sf, sg = lcm - lmf, lcm - lmg
+    out = {m + sf: c for m, c in f.items()}
     fsub = field.sub
     for m, c in g.items():
-        tm = mono_mul(m, sg)
+        tm = m + sg
         acc = out.get(tm)
         s = fsub(acc, c) if acc is not None else field.neg(c)
         if s == 0:
             out.pop(tm, None)
         else:
             out[tm] = s
+    if reduce(or_, out, 0) & pk.guard:
+        raise _Overflow
     return out
 
 
-def _update(G: set, B: dict, ih: int, lms: list) -> tuple[set, dict]:
+def _update(G: set, B: dict, ih: int, lms: list, pk: _Packing) -> tuple[set, dict]:
     """Gebauer-Moeller pair update when basis element ``ih`` arrives.
 
     ``B`` maps each pair to the lcm of its leading monomials, computed once
-    when the pair is created.
+    when the pair is created.  a | b iff ``((b | guard) - a) & guard == guard``,
+    and a, b are coprime iff their lcm is their product a + b.
     """
+    lcm, guard = pk.lcm, pk.guard
     mh = lms[ih]
-    lcm_h = {ig: mono_lcm(mh, lms[ig]) for ig in G}
+    lcm_h = {ig: lcm(mh, lms[ig]) for ig in G}
     C = set(G)
     D: dict = {}
     while C:
         ig = C.pop()
         lcm_hg = lcm_h[ig]
-        if mono_coprime(mh, lms[ig]) or (
-            not any(mono_divides(lcm_h[ip], lcm_hg) for ip in C)
-            and not any(mono_divides(lcm, lcm_hg) for lcm in D.values())
+        high = lcm_hg | guard
+        if lcm_hg == mh + lms[ig] or (
+            not any((high - lcm_h[ip]) & guard == guard for ip in C)
+            and not any((high - l) & guard == guard for l in D.values())
         ):
             D[(ih, ig)] = lcm_hg
     B_new = {
         (i1, i2): lcm12 for (i1, i2), lcm12 in B.items()
-        if not mono_divides(mh, lcm12)
-        or mono_lcm(lms[i1], mh) == lcm12
-        or mono_lcm(lms[i2], mh) == lcm12
+        if ((lcm12 | guard) - mh) & guard != guard
+        or lcm(lms[i1], mh) == lcm12
+        or lcm(lms[i2], mh) == lcm12
     }
-    B_new.update((pr, lcm) for pr, lcm in D.items() if not mono_coprime(mh, lms[pr[1]]))
-    G_new = {ig for ig in G if not mono_divides(mh, lms[ig])}
+    B_new.update((pr, l) for pr, l in D.items() if l != mh + lms[pr[1]])
+    G_new = {ig for ig in G if ((lms[ig] | guard) - mh) & guard != guard}
     G_new.add(ih)
     return G_new, B_new
 
 
-def _interreduce(pairs: list[tuple[tuple, dict]], order: TermOrder,
-                 field) -> list[tuple[tuple, dict]]:
+def _interreduce(pairs: list[tuple], pk, field) -> list[tuple]:
     """Autoreduce ``(lm, poly)`` pairs until a whole pass keeps every leading monomial.
 
     Zeros are dropped, every element is made monic, and the pairs come back in
@@ -193,18 +316,25 @@ def _interreduce(pairs: list[tuple[tuple, dict]], order: TermOrder,
     Groebner basis the result is the unique reduced basis; on a minimal one
     (no leading monomial divides another) it takes a single pass.
     """
-    keyf = order.key()
+    if isinstance(pk, TermOrder):
+        if not pairs:
+            return []
+        pk, out = _packed(len(pairs[0][0]), pk, [p for _, p in pairs],
+                          lambda q: _interreduce([(q.encode(lm), q.pack(p)) for lm, p in pairs],
+                                                 q, field))
+        return [(pk.decode(lm), pk.unpack(p)) for lm, p in out]
+    keyf = pk.key
     current = sorted(((lm, _monic(p, lm, field)) for lm, p in pairs), key=lambda t: keyf(t[0]))
     first_pass = True
     while True:
         changed = False
-        done: list[tuple[tuple, dict]] = []
+        done: list[tuple[int, dict]] = []
         for i, (lm, p) in enumerate(current):
             # ascending as it stands until the first pass changes something
             reducers = done + current[i + 1:]
             if changed or not first_pass:
                 reducers.sort(key=lambda t: keyf(t[0]))
-            r = _reduce_full(p, reducers, order, field)
+            r = _reduce_full(p, reducers, pk, field)
             if not r:
                 changed = True
                 continue
@@ -217,7 +347,7 @@ def _interreduce(pairs: list[tuple[tuple, dict]], order: TermOrder,
         first_pass = False
 
 
-def _buchberger(seeds: list[dict], arity: int, order: TermOrder, field,
+def _buchberger(seeds: list[dict], arity: int, pk, field,
                 gb_prefix: int = 0, stop_on_unit: bool = False) -> list[dict]:
     """Reduced Groebner basis of the ideal generated by ``seeds``.
 
@@ -227,9 +357,13 @@ def _buchberger(seeds: list[dict], arity: int, order: TermOrder, field,
     nonzero constant appears; only valid when the caller just needs to know
     whether the ideal is the unit ideal.
     """
-    keyf = order.key()
-    one_mono = (0,) * arity
-    unit = [{one_mono: field.one}]
+    if isinstance(pk, TermOrder):
+        pk, basis = _packed(arity, pk, seeds,
+                            lambda q: _buchberger([q.pack(s) for s in seeds], arity, q, field,
+                                                  gb_prefix, stop_on_unit))
+        return [pk.unpack(p) for p in basis]
+    keyf = pk.key
+    unit = [{0: field.one}]  # the packed monomial 1 is 0
 
     prefix = []
     rest = []
@@ -237,19 +371,19 @@ def _buchberger(seeds: list[dict], arity: int, order: TermOrder, field,
         if not s:
             continue
         lm = max(s, key=keyf)
-        if lm == one_mono:
+        if lm == 0:
             return list(unit)
         (prefix if i < gb_prefix else rest).append((lm, s))
     if gb_prefix == 0:
-        rest = _interreduce(rest, order, field)
-        if any(lm == one_mono for lm, _ in rest):
+        rest = _interreduce(rest, pk, field)
+        if any(lm == 0 for lm, _ in rest):
             return list(unit)
     start = [(lm, _monic(p, lm, field)) for lm, p in prefix + rest]
     if not start:
         return []
 
     polys: list[dict] = []
-    lms: list[tuple] = []
+    lms: list[int] = []
     prefix_ids: set[int] = set()
     G: set = set()
     B: dict = {}
@@ -260,7 +394,7 @@ def _buchberger(seeds: list[dict], arity: int, order: TermOrder, field,
         polys.append(start[i][1])
         if i < len(prefix):
             prefix_ids.add(idx)
-        G, B = _update(G, B, idx, lms)
+        G, B = _update(G, B, idx, lms, pk)
     if prefix_ids:
         B = {pr: lcm for pr, lcm in B.items()
              if not (pr[0] in prefix_ids and pr[1] in prefix_ids)}
@@ -276,27 +410,27 @@ def _buchberger(seeds: list[dict], arity: int, order: TermOrder, field,
         i, j = pr = heappop(queue)[1]
         if B.pop(pr, None) is None:
             continue
-        s = _spoly(polys[i], lms[i], polys[j], lms[j], field)
+        s = _spoly(polys[i], lms[i], polys[j], lms[j], pk, field)
         if not s:
             continue
         if reducers is None:
             reducers = sorted(((lms[g], polys[g]) for g in G), key=lambda t: keyf(t[0]))
-        h = _reduce_full(s, reducers, order, field)
+        h = _reduce_full(s, reducers, pk, field)
         if not h:
             continue
         lm = next(iter(h))
-        if stop_on_unit and lm == one_mono:
+        if stop_on_unit and lm == 0:
             return list(unit)
         idx = len(polys)
         polys.append(_monic(h, lm, field))
         lms.append(lm)
-        G, B = _update(G, B, idx, lms)
+        G, B = _update(G, B, idx, lms, pk)
         for pr, lcm in B.items():
             if pr[0] == idx:
                 heappush(queue, (keyf(lcm), pr))
         reducers = None
 
-    return [p for _, p in _interreduce([(lms[g], polys[g]) for g in G], order, field)]
+    return [p for _, p in _interreduce([(lms[g], polys[g]) for g in G], pk, field)]
 
 
 # --- public API -----------------------------------------------------------------
@@ -319,32 +453,51 @@ class IdealHandle:
             gens.append(g)
         self.generators: tuple[Polynomial, ...] = tuple(gens)
         self._cache: dict[TermOrder, tuple[Polynomial, ...]] = {}
-        self._reducers: dict[TermOrder, list[tuple[tuple, dict]]] = {}
+        self._packed: dict[TermOrder, tuple[_Packing, list[tuple[int, dict]]]] = {}
         self._numerator: tuple[int, ...] | None = None
 
     def groebner_basis(self, order: TermOrder = DEGREVLEX) -> tuple[Polynomial, ...]:
         cached = self._cache.get(order)
-        if cached is not None:
-            return cached
-        seeds = [dict(g._terms) for g in self.generators]
-        basis = _buchberger(seeds, self.ring.arity, order, self.ring.field)
-        result = tuple(Polynomial._make(self.ring, p) for p in basis)
-        self._cache.setdefault(order, result)
-        return self._cache[order]
+        if cached is None:
+            field = self.ring.field
+            pk, basis = _packed(self.ring.arity, order, [g._terms for g in self.generators],
+                                lambda q: _buchberger([q.pack(g._terms) for g in self.generators],
+                                                      self.ring.arity, q, field))
+            self._remember(order, pk, basis)
+            cached = self._cache[order]
+        return cached
+
+    def _packed_basis(self, order: TermOrder) -> tuple[_Packing, list[tuple[int, dict]]]:
+        """The packing and the reduced basis as ascending ``(lm, poly)`` reducers."""
+        entry = self._packed.get(order)
+        if entry is None:
+            self.groebner_basis(order)
+            entry = self._packed[order]
+        return entry
+
+    def _remember(self, order: TermOrder, pk: _Packing, basis: list[dict]) -> None:
+        """Cache a reduced basis, its elements in descending order of leading
+        monomials (each its own first key), as polynomials and packed."""
+        # packed first: a reader that finds the tuple basis finds the packed one
+        self._packed.setdefault(order, (pk, [(next(iter(p)), p) for p in reversed(basis)]))
+        self._cache.setdefault(order, tuple(Polynomial._make(self.ring, pk.unpack(p))
+                                            for p in basis))
 
     def normal_form(self, f: Polynomial, order: TermOrder = DEGREVLEX) -> Polynomial:
         if f.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
-        reducers = self._reducers.get(order)
-        if reducers is None:
-            # written once, like the basis cache; it shares the basis's term dicts
-            keyf = order.key()
-            reducers = sorted(((g.leading_monomial(order), g._terms)
-                               for g in self.groebner_basis(order)),
-                              key=lambda t: keyf(t[0]))
-            reducers = self._reducers.setdefault(order, reducers)
-        r = _reduce_full(f._terms, reducers, order, self.ring.field)
-        return Polynomial._make(self.ring, r)
+        pk, reducers = self._packed_basis(order)
+        if max(map(sum, f._terms), default=0) >> pk.bits == 0:
+            try:
+                r = _reduce_full(pk.pack(f._terms), reducers, pk, self.ring.field)
+                return Polynomial._make(self.ring, pk.unpack(r))
+            except _Overflow:
+                pass
+        # f or its reduction needs wider fields: basis and f are packed afresh
+        reducers = [(g.leading_monomial(order), g._terms)
+                    for g in reversed(self.groebner_basis(order))]
+        return Polynomial._make(self.ring,
+                                _reduce_full(f._terms, reducers, order, self.ring.field))
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
@@ -353,8 +506,8 @@ class IdealHandle:
         """N(T) with HS(S/LT(I)) = N(T)/(1-T)^n, LT taken in degrevlex."""
         if self._numerator is None:
             # written once, like the basis cache: a second computation agrees
-            self._numerator = _hilbert_numerator(g.leading_monomial(DEGREVLEX)
-                                                 for g in self.groebner_basis(DEGREVLEX))
+            pk, reducers = self._packed_basis(DEGREVLEX)
+            self._numerator = _hilbert_numerator(pk.decode(lm) for lm, _ in reducers)
         return self._numerator
 
     def to_json(self):
@@ -410,23 +563,39 @@ def ideal_member(f: Polynomial, I: IdealHandle) -> bool:
     return I.contains(f)
 
 
+def _rabinowitsch(ring: Ring, f: Polynomial) -> tuple[Ring, dict]:
+    """The ring extended by a fresh first variable t, and 1 - t*f in it."""
+    ext = ring.extended([ring.fresh_name("t")])
+    return ext, (ext.one() - ext.variable(ext.variables[0]) * transport(f, ext))._terms
+
+
+def _lift(terms: dict) -> dict:
+    """Exponent tuples of S read in the ring `_rabinowitsch` extends it to."""
+    return {(0,) + m: c for m, c in terms.items()}
+
+
 def _rabinowitsch_contains(I: IdealHandle, f: Polynomial) -> bool:
     """1 in I + (1 - t*f) over the ring extended with a fresh variable t.
 
     The extension prepends t, which leaves degrevlex comparisons of t-free
     monomials unchanged; the cached basis of I therefore stays a reduced basis
-    in the extended ring and is reused as a Buchberger prefix.
+    in the extended ring and is reused as a Buchberger prefix.  t takes the
+    lowest degrevlex field, so in a packing as wide as I's the packed basis
+    only shifts up one field.
     """
-    ring = I.ring
-    tname = ring.fresh_name("t")
-    ext = ring.extended([tname])
-    gb = I.groebner_basis(DEGREVLEX)
-    seeds = [dict(transport(g, ext)._terms) for g in gb]
-    rab = ext.one() - ext.variable(tname) * transport(f, ext)
-    seeds.append(dict(rab._terms))
-    basis = _buchberger(seeds, ext.arity, DEGREVLEX, ext.field,
-                        gb_prefix=len(gb), stop_on_unit=True)
-    return len(basis) == 1 and mono_deg(next(iter(basis[0]))) == 0
+    pk, reducers = I._packed_basis(DEGREVLEX)
+    ext, rab = _rabinowitsch(I.ring, f)
+
+    def run(q: _Packing) -> list[dict]:
+        if q.bits == pk.bits:
+            prefix = [{m << q.width: c for m, c in p.items()} for _, p in reducers]
+        else:
+            prefix = [q.pack(_lift(g._terms)) for g in I.groebner_basis(DEGREVLEX)]
+        return _buchberger(prefix + [q.pack(rab)], ext.arity, q, ext.field,
+                           gb_prefix=len(prefix), stop_on_unit=True)
+
+    _, basis = _packed(ext.arity, DEGREVLEX, [rab], run, pk.bits)
+    return len(basis) == 1 and next(iter(basis[0])) == 0
 
 
 _RABINOWITSCH = "Rabinowitsch"
@@ -434,12 +603,21 @@ _WITNESS_BOUND = 8
 
 
 def _extend(H: IdealHandle, polys: list[Polynomial]) -> IdealHandle:
-    """H + (polys), its degrevlex basis grown from H's cached one."""
-    gb = H.groebner_basis(DEGREVLEX)
-    seeds = [dict(g._terms) for g in gb] + [dict(p._terms) for p in polys]
-    basis = _buchberger(seeds, H.ring.arity, DEGREVLEX, H.ring.field, gb_prefix=len(gb))
+    """H + (polys), its degrevlex basis grown from H's cached packed one."""
+    pk, reducers = H._packed_basis(DEGREVLEX)
+    seeds = [p._terms for p in polys]
+
+    def run(q: _Packing) -> list[dict]:
+        if q.bits == pk.bits:
+            prefix = [p for _, p in reducers]
+        else:
+            prefix = [q.pack(g._terms) for g in H.groebner_basis(DEGREVLEX)]
+        return _buchberger(prefix + [q.pack(s) for s in seeds], H.ring.arity, q, H.ring.field,
+                           gb_prefix=len(prefix))
+
+    q, basis = _packed(H.ring.arity, DEGREVLEX, seeds, run, pk.bits)
     out = IdealHandle(H.ring, H.generators + tuple(polys))
-    out._cache[DEGREVLEX] = tuple(Polynomial._make(H.ring, p) for p in basis)
+    out._remember(DEGREVLEX, q, basis)
     return out
 
 
@@ -515,7 +693,7 @@ def eliminate(I: IdealHandle, variables) -> IdealHandle:
     if not elim:
         return IdealHandle(I.ring, I.generators)
     perm = Ring(tuple(elim + rest), I.ring.field)
-    seeds = [dict(transport(g, perm)._terms) for g in I.generators]
+    seeds = [transport(g, perm)._terms for g in I.generators]
     basis = _buchberger(seeds, perm.arity, block_order(len(elim)), perm.field)
     k = len(elim)
     target = Ring(tuple(rest), I.ring.field)
@@ -526,16 +704,16 @@ def eliminate(I: IdealHandle, variables) -> IdealHandle:
     return IdealHandle(target, kept)
 
 
-def _certify(seeds: list[dict], basis: list[dict], order: TermOrder, field) -> None:
+def _certify(seeds: list[dict], basis: list[dict], pk: _Packing, field) -> None:
     """Raise unless the monic ``basis``, built from ``seeds``, is a Groebner
     basis of (seeds): Buchberger's criterion, replayed by plain reductions of
     every seed and of the S-polynomial of every pair of basis elements whose
     leading monomials are not coprime.  A failure is an engine defect."""
-    keyf = order.key()
+    keyf = pk.key
     reducers = sorted(((max(p, key=keyf), p) for p in basis), key=lambda t: keyf(t[0]))
-    spolys = (_spoly(f, lmf, g, lmg, field) for i, (lmf, f) in enumerate(reducers)
-              for lmg, g in reducers[i + 1:] if not mono_coprime(lmf, lmg))
-    if any(_reduce_full(p, reducers, order, field) for p in chain(seeds, spolys)):
+    spolys = (_spoly(f, lmf, g, lmg, pk, field) for i, (lmf, f) in enumerate(reducers)
+              for lmg, g in reducers[i + 1:] if pk.lcm(lmf, lmg) != lmf + lmg)
+    if any(_reduce_full(p, reducers, pk, field) for p in chain(seeds, spolys)):
         raise ScrollstciError("Groebner basis failed its Buchberger-criterion replay")
 
 
@@ -546,16 +724,18 @@ def saturate(I: IdealHandle, f: Polynomial) -> IdealHandle:
         raise RingMismatchError("polynomial lives in a different ring")
     if f.is_zero():
         raise ScrollstciError("cannot saturate by zero")
-    ring = I.ring
-    tname = ring.fresh_name("t")
-    ext = ring.extended([tname])
-    rab = ext.one() - ext.variable(tname) * transport(f, ext)
-    seeds = [dict(transport(g, ext)._terms) for g in I.generators] + [dict(rab._terms)]
-    order = block_order(1)
-    basis = _buchberger(seeds, ext.arity, order, ext.field)
-    _certify(seeds, basis, order, ext.field)
-    return IdealHandle(ring, [transport(Polynomial._make(ext, p), ring)
-                              for p in basis if all(m[0] == 0 for m in p)])
+    ext, rab = _rabinowitsch(I.ring, f)
+    seeds = [_lift(g._terms) for g in I.generators] + [rab]
+
+    def run(q: _Packing) -> list[dict]:
+        packed = [q.pack(s) for s in seeds]
+        basis = _buchberger(packed, ext.arity, q, ext.field)
+        _certify(packed, basis, q, ext.field)
+        return basis
+
+    pk, basis = _packed(ext.arity, block_order(1), seeds, run)
+    return IdealHandle(I.ring, [Polynomial._make(I.ring, {m[1:]: c for m, c in p.items()})
+                                for p in map(pk.unpack, basis) if all(m[0] == 0 for m in p)])
 
 
 def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:

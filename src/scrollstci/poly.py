@@ -280,20 +280,11 @@ class Ring:
 
 # --- monomials (plain exponent tuples) --------------------------------------
 
-def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(map(add, a, b))
-
 def mono_divides(a: tuple, b: tuple) -> bool:
     return all(map(le, a, b))
 
-def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(map(max, a, b))
-
 def mono_deg(a: tuple) -> int:
     return sum(a)
-
-def mono_coprime(a: tuple, b: tuple) -> bool:
-    return not any(map(min, a, b))
 
 
 @dataclass(frozen=True)
@@ -661,6 +652,9 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+_MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive descent for the polynomial grammar.
 
@@ -668,12 +662,17 @@ class _Parser:
     term   := factor ('*' factor)*
     factor := atom ['^' INT]
     atom   := NAME | INT ['/' INT] | '(' expr ')'
+
+    Each open parenthesis costs four Python frames, so nesting deeper than
+    ``_MAX_NESTING`` is refused as malformed before the interpreter's
+    recursion limit is reached.
     """
 
     def __init__(self, ring: Ring, tokens: list[tuple[str, str]]):
         self.ring = ring
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -746,8 +745,12 @@ class _Parser:
                 return self.ring.constant(field.div(field.coerce(num), d))
             return self.ring.constant(num)
         if kind == "op" and tok == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}")
             inner = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected token {tok!r}")
 

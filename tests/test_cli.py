@@ -412,15 +412,27 @@ def test_synth_refuses_multi_block_specs(capsys):
 
 
 def test_deep_nesting_is_an_error_not_a_verdict(tmp_path, capsys):
+    # nesting is bounded by the parser, so it is malformed input, not an
+    # interpreter recursion error
     nested = "(" * 5000 + "x" + ")" * 5000
     path = write_ideal(tmp_path, "deep.json", ["x"], [nested])
     code, doc = invoke(capsys, "gb", path)
-    assert code == 2 and doc["status"] == "error"
-    assert any("RecursionError" in d for d in doc["diagnostics"])
+    assert code == 2 and doc["status"] == "error" and doc["diagnostics"] == []
+    assert doc["payload"]["message"] == \
+        f"malformed input in {path!r}: parentheses nested deeper than 100"
     path = write_ideal(tmp_path, "i.json", ["x"], ["x"])
     code, doc = invoke(capsys, "member", path, "--poly", nested)
-    assert code == 2 and doc["status"] == "error"
-    assert any("RecursionError" in d for d in doc["diagnostics"])
+    assert code == 2 and doc["status"] == "error" and doc["diagnostics"] == []
+    assert doc["payload"]["message"] == "parentheses nested deeper than 100"
+    code, doc = invoke(capsys, "member", path, "--poly", "(" * 100 + "x" + ")" * 100)
+    assert code == 0 and doc["payload"]["member"] is True
+
+
+def test_gb_of_a_huge_exponent_answers_its_basis(tmp_path, capsys):
+    path = write_ideal(tmp_path, "i.json", ["x", "y"], ["x^3000000000 - y"])
+    for order in ("degrevlex", "lex"):
+        code, doc = invoke(capsys, "gb", path, "--order", order)
+        assert code == 0 and doc["payload"]["basis"] == ["x^3000000000 - y"]
 
 
 def test_synth_rejects_verify_flag(capsys):

@@ -10,6 +10,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tuple_kernel
 from scrollstci import oracle
 from scrollstci.linjoin import TwoLinearSpec
 from scrollstci.oracle import (
@@ -493,8 +494,8 @@ def test_saturate_refuses_a_basis_that_fails_buchbergers_criterion(monkeypatch):
     # basis that is not Groebner; replaying Buchberger's criterion catches it
     real_update = oracle._update
 
-    def lossy_update(G, B, ih, lms):
-        G_new, B_new = real_update(G, B, ih, lms)
+    def lossy_update(G, B, ih, lms, pk):
+        G_new, B_new = real_update(G, B, ih, lms, pk)
         return G_new, ({k: v for k, v in B_new.items() if k in B} if ih >= 3 else B_new)
 
     monkeypatch.setattr(oracle, "_update", lossy_update)
@@ -791,7 +792,7 @@ def _reference_pairs(seeds, arity, order, field, gb_prefix=0):
         i, j = pr = min(B, key=lambda pr: (keyf(tuple(map(max, lms[pr[0]], lms[pr[1]]))), pr))
         B.discard(pr)
         seen.append((lms[i], lms[j]))
-        s = oracle._spoly(polys[i], lms[i], polys[j], lms[j], field)
+        s = tuple_kernel._spoly(polys[i], lms[i], polys[j], lms[j], field)
         reducers = sorted(((lms[g], polys[g]) for g in G), key=lambda t: keyf(t[0]))
         h = _reference_reduce_full(s, reducers, keyf, field)
         if h:
@@ -824,15 +825,107 @@ def test_buchberger_reduces_pairs_in_the_order_of_the_set_reference(monkeypatch)
         got = []
         real_spoly = oracle._spoly
 
-        def recording(f, lmf, g, lmg, fld):
-            got.append((lmf, lmg))
-            return real_spoly(f, lmf, g, lmg, fld)
+        def recording(f, lmf, g, lmg, pk, fld):
+            got.append((pk.decode(lmf), pk.decode(lmg)))
+            return real_spoly(f, lmf, g, lmg, pk, fld)
 
         monkeypatch.setattr(oracle, "_spoly", recording)
         basis = _buchberger(seeds, arity, order, field, gb_prefix=prefix)
         monkeypatch.setattr(oracle, "_spoly", real_spoly)
         assert got == want
         assert [list(p.items()) for p in basis] == [list(p.items()) for p in want_basis]
+
+
+_ORDERS = [LEX, DEGLEX, DEGREVLEX, block_order(1), block_order(2)]
+
+
+@pytest.mark.parametrize("order", _ORDERS, ids=str)
+def test_packed_monomials_compute_what_exponent_tuples_do(order):
+    rng = random.Random(53)
+    keyf = order.key()
+    for arity in range(1, 6):
+        pk = oracle._packing(arity, order, 8)
+        monos = [tuple(rng.choice((0, 0, 1, 2, 127, 128, 255)) for _ in range(arity))
+                 for _ in range(40)]
+        packed = [pk.encode(m) for m in monos]
+        assert [pk.decode(e) for e in packed] == monos
+        assert sorted(monos, key=keyf) == [pk.decode(e) for e in sorted(packed, key=pk.key)]
+        for e in packed:  # the normal-form heap's descending key gives e back
+            d = -pk.key(e)
+            assert ((d & pk.neg) << 1) - d == e
+        for (a, ea), (b, eb) in product(zip(monos, packed), repeat=2):
+            assert (((eb | pk.guard) - ea) & pk.guard == pk.guard) == mono_divides(a, b)
+            assert pk.lcm(ea, eb) == pk.encode(tuple(map(max, a, b)))
+            assert (pk.lcm(ea, eb) == ea + eb) == (not any(map(min, a, b)))
+            total = tuple(map(sum, zip(a, b)))
+            if max(total) < 256:
+                assert ea + eb == pk.encode(total)
+            else:
+                assert (ea + eb) & pk.guard  # the sum left the fields, and shows it
+
+
+def _differential_cases():
+    """Seeded ideals over QQ and F_7, six under each order of ``_ORDERS``."""
+    rng = random.Random(47)
+    for n in range(30):
+        field, order = (QQ, Fp(7))[n % 2], _ORDERS[n % 5]
+        arity = rng.randint(2, 4)
+        seeds = [g for g in (_random_terms(rng, arity, field, rng.randint(2, 4), top=3)
+                             for _ in range(rng.randint(2, 4))) if g]
+        yield seeds, arity, order, field
+
+
+def test_packed_kernel_matches_the_tuple_kernel(monkeypatch):
+    pairs_seen = 0
+    for seeds, arity, order, field in _differential_cases():
+        want, got = [], []
+        real_tuple, real_packed = tuple_kernel._spoly, oracle._spoly
+
+        def tuple_recording(f, lmf, g, lmg, fld):
+            want.append((lmf, lmg))
+            return real_tuple(f, lmf, g, lmg, fld)
+
+        def packed_recording(f, lmf, g, lmg, pk, fld):
+            got.append((pk.decode(lmf), pk.decode(lmg)))
+            return real_packed(f, lmf, g, lmg, pk, fld)
+
+        monkeypatch.setattr(tuple_kernel, "_spoly", tuple_recording)
+        monkeypatch.setattr(oracle, "_spoly", packed_recording)
+        with time_limit(60):
+            want_basis = tuple_kernel._buchberger(seeds, arity, order, field)
+            got_basis = _buchberger(seeds, arity, order, field)
+        monkeypatch.undo()
+        assert got == want
+        assert [list(p.items()) for p in got_basis] == [list(p.items()) for p in want_basis]
+        pairs_seen += len(got)
+    assert pairs_seen >= 100
+
+
+def test_a_run_that_outgrows_its_packing_is_rerun_wider():
+    # every input degree is at most 100, so the first packing holds exponents
+    # below 256; the bases need y^300
+    R = Ring(("x", "y"))
+    for order in (LEX, block_order(1)):
+        seeds = [parse(R, g)._terms for g in ("x - y^100", "x^3")]
+        pk, _ = oracle._packed(2, order, seeds, lambda q: None)
+        assert pk.bits == 8
+        basis = _buchberger(seeds, 2, order, QQ)
+        assert [list(p.items()) for p in basis] == \
+            [list(p.items()) for p in tuple_kernel._buchberger(seeds, 2, order, QQ)]
+        assert max(e for p in basis for m in p for e in m) >= 256
+    # an S-polynomial that outgrows its packing says so
+    pk = oracle._packing(2, LEX, 8)
+    f, g = (pk.pack(parse(R, t)._terms) for t in ("x*y - y^200", "x^2*y^60"))
+    with pytest.raises(oracle._Overflow):
+        oracle._spoly(f, pk.encode((1, 1)), g, pk.encode((2, 60)), pk, QQ)
+    # a normal form whose input outgrows the cached basis's packing
+    I = ideal(R, "x - y")
+    assert I.normal_form(parse(R, "x^2")) == parse(R, "y^2")
+    assert I.normal_form(parse(R, "x^300 + x")) == parse(R, "y^300 + y")
+    # and one whose reduction outgrows it
+    assert ideal(R, "x - y^100").normal_form(parse(R, "x^3"), LEX) == parse(R, "y^300")
+    assert saturate(ideal(R, "x^300*y - y^301"), parse(R, "y")).groebner_basis() == \
+        ideal(R, "x^300 - y^300").groebner_basis()
 
 
 class _FractionEverywhere:
