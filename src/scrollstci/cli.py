@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -409,6 +410,8 @@ def run(argv) -> CommandResult:
     try:
         if timeout is None:  # read here, not when the shared parser was built
             timeout = float(os.environ.get("SCROLLSTCI_TIMEOUT", "300"))
+        if math.isnan(timeout):  # no clock reading exceeds NaN: it would turn the deadline off
+            raise ScrollstciError("timeout must be a number of seconds, not nan")
         with time_limit(timeout):
             return args.handler(args)
     except OracleTimeout:

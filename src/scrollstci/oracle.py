@@ -6,18 +6,19 @@ built on top: membership, radical membership, intersection (computed, or
 certified from a candidate), elimination, saturation, and radical equality.
 
 The kernels (`_buchberger`, `_reduce_full`, `_spoly`, `_update`,
-`_interreduce`, `_certify`) work on packed monomials, as Singular does
+`_interreduce`, `_certify`) take packed monomials only, as Singular does
 (Bachmann & Schoenemann, ISSAC 1998): each exponent vector is one int, with
 a field per variable and one for the degree (`_Packing`), so a product is
 one int addition, a divisibility test one subtraction and a mask, and an
-order comparison one int comparison.  The field width comes from the input:
-exponent fields start at 8 bits and double until they hold twice the
-largest input degree, and each has as many guard bits again.  A product
-whose guard bits are not clear has outgrown its fields; the run then starts
-again with fields twice as wide, so no input is refused for its exponents
-and every result is the one an unbounded representation would give.
-Polynomials, parsing, printing, linear algebra and the Hilbert recursion
-keep exponent tuples.
+order comparison one int comparison.  `_packed` alone picks the field width
+from the input: exponent fields start at 8 bits (or at the width of the
+cached basis the run extends) and double until they hold twice the largest
+input degree, and each has as many guard bits again.  A product whose guard
+bits are not clear has outgrown its fields; `_packed` then runs again with
+fields twice as wide, so no input is refused for its exponents and every
+result is the one an unbounded representation would give.  Polynomials,
+parsing, printing, linear algebra and the Hilbert recursion keep exponent
+tuples.
 
 The kernels keep their state rather than recompute it.  Pending pairs
 map to the lcm of their leading monomials, computed once when the pair is
@@ -54,15 +55,17 @@ the engine favours exactness and determinism over asymptotics.  The reduced
 basis is unique per (ideal, order); recomputation or permuting generators
 yields the identical result.
 
-`IdealHandle` caches one reduced basis per term order, both as
-polynomials and packed, with its packing and the sorted reducer list its
-normal forms use; and the Hilbert numerator of its degrevlex leading-term
-ideal.  Normal forms, `_extend`, `_rabinowitsch_contains` and
-`certify_intersection` reuse the packed basis; only an input too wide for
-its packing packs it again.  A cache entry is written once and never
-mutated, nor are the dicts it holds, so concurrent readers are safe and
-concurrent first computations merely duplicate work.  The only module-level
-state is the write-once memo of packings.  The deadline set by `time_limit`
+`IdealHandle` caches one reduced basis per term order, packed, as the
+sorted reducer list its normal forms use, with its packing; the basis as
+polynomials, unpacked on the first `groebner_basis` request; and the Hilbert
+numerator of its degrevlex leading-term ideal.  One method,
+`IdealHandle._packed_basis`, hands out the packed basis to normal forms,
+`_extend`, `_rabinowitsch_contains` and the Hilbert numerator: the cached
+entry, or, when `_packed` chose a wider packing for the run, the entry packed
+again that wide, which is cached too.  A cache entry is written once and never mutated, nor are
+the dicts it holds, so concurrent readers are safe and concurrent first
+computations merely duplicate work.  The only module-level state is the
+write-once memo of packings.  The deadline set by `time_limit`
 (see `poly`) lives in a context variable, so it bounds only the thread (or
 task) that set it: a new thread starts with no deadline.
 """
@@ -152,6 +155,7 @@ class _Packing:
         def decode(m: int) -> tuple:
             return tuple(map(value.__and__, map(m.__rshift__, shifts)))
 
+        self.arity, self.order = arity, order
         self.bits, self.width, self.guard, self.neg = bits, width, guard, neg
         self.lcm, self.encode, self.decode = lcm, encode, decode
         self.key = lambda m: m - ((m & neg) << 1)
@@ -168,16 +172,19 @@ class _Packing:
 _packing = cache(_Packing)  # the one write-once memo: one packing per (arity, order, bits)
 
 
-def _packed(arity: int, order: TermOrder, polys, run, bits: int = 8):
-    """``(pk, run(pk))`` for the narrowest packing ``pk``, at least ``bits``
-    wide, whose exponents reach twice the largest degree in ``polys`` and
-    whose fields can sum ``arity`` exponents; each `_Overflow` doubles the
-    width and runs ``run`` again, which computes the same result."""
-    need = max([arity] + [2 * max(map(sum, p), default=0) for p in polys])
+def _packed(pk: _Packing, polys, run):
+    """``(q, run(q))`` for the narrowest packing ``q`` of ``pk``'s arity and
+    order, at least as wide as ``pk``, whose exponents reach twice the largest
+    degree in ``polys`` (exponent tuples) and whose fields can sum ``arity``
+    exponents; each `_Overflow` doubles the width and runs ``run`` again,
+    which computes the same result."""
+    bits = pk.bits
+    need = max([pk.arity] + [2 * max(map(sum, p), default=0) for p in polys])
     while 1 << bits <= need:
         bits *= 2
     while True:
-        pk = _packing(arity, order, bits)
+        if bits != pk.bits:
+            pk = _packing(pk.arity, pk.order, bits)
         try:
             return pk, run(pk)
         except _Overflow:
@@ -185,10 +192,6 @@ def _packed(arity: int, order: TermOrder, polys, run, bits: int = 8):
 
 
 # --- kernels on packed monomials: dict monomial -> scalar ------------------------
-#
-# `_reduce_full`, `_interreduce` and `_buchberger` also take exponent tuples
-# when given a `TermOrder` in place of a packing: they pack them, run packed
-# and unpack the result.
 
 def _monic(p: dict, lm, field) -> dict:
     c = p[lm]
@@ -198,7 +201,7 @@ def _monic(p: dict, lm, field) -> dict:
     return {m: field.mul(inv, v) for m, v in p.items()}
 
 
-def _reduce_full(p: dict, reducers: list[tuple], pk, field) -> dict:
+def _reduce_full(p: dict, reducers: list[tuple], pk: _Packing, field) -> dict:
     """Full normal form of p modulo monic reducers (every term reduced).
 
     ``reducers`` are ``(lm, poly)`` pairs in ascending order of ``lm``; each
@@ -209,13 +212,6 @@ def _reduce_full(p: dict, reducers: list[tuple], pk, field) -> dict:
     2*(d & neg) - d, since m & neg and d & neg agree.  Terms enter the
     result in descending order, so its first key is its leading monomial.
     """
-    if isinstance(pk, TermOrder):
-        if not p:
-            return {}
-        pk, r = _packed(len(next(iter(p))), pk, [p] + [g for _, g in reducers],
-                        lambda q: _reduce_full(q.pack(p), [(q.encode(lm), q.pack(g))
-                                                           for lm, g in reducers], q, field))
-        return pk.unpack(r)
     neg, guard = pk.neg, pk.guard
     work = dict(p)
     heap = [((m & neg) << 1) - m for m in work]
@@ -307,7 +303,7 @@ def _update(G: set, B: dict, ih: int, lms: list, pk: _Packing) -> tuple[set, dic
     return G_new, B_new
 
 
-def _interreduce(pairs: list[tuple], pk, field) -> list[tuple]:
+def _interreduce(pairs: list[tuple], pk: _Packing, field) -> list[tuple]:
     """Autoreduce ``(lm, poly)`` pairs until a whole pass keeps every leading monomial.
 
     Zeros are dropped, every element is made monic, and the pairs come back in
@@ -316,13 +312,6 @@ def _interreduce(pairs: list[tuple], pk, field) -> list[tuple]:
     Groebner basis the result is the unique reduced basis; on a minimal one
     (no leading monomial divides another) it takes a single pass.
     """
-    if isinstance(pk, TermOrder):
-        if not pairs:
-            return []
-        pk, out = _packed(len(pairs[0][0]), pk, [p for _, p in pairs],
-                          lambda q: _interreduce([(q.encode(lm), q.pack(p)) for lm, p in pairs],
-                                                 q, field))
-        return [(pk.decode(lm), pk.unpack(p)) for lm, p in out]
     keyf = pk.key
     current = sorted(((lm, _monic(p, lm, field)) for lm, p in pairs), key=lambda t: keyf(t[0]))
     first_pass = True
@@ -347,7 +336,7 @@ def _interreduce(pairs: list[tuple], pk, field) -> list[tuple]:
         first_pass = False
 
 
-def _buchberger(seeds: list[dict], arity: int, pk, field,
+def _buchberger(seeds: list[dict], pk: _Packing, field,
                 gb_prefix: int = 0, stop_on_unit: bool = False) -> list[dict]:
     """Reduced Groebner basis of the ideal generated by ``seeds``.
 
@@ -357,11 +346,6 @@ def _buchberger(seeds: list[dict], arity: int, pk, field,
     nonzero constant appears; only valid when the caller just needs to know
     whether the ideal is the unit ideal.
     """
-    if isinstance(pk, TermOrder):
-        pk, basis = _packed(arity, pk, seeds,
-                            lambda q: _buchberger([q.pack(s) for s in seeds], arity, q, field,
-                                                  gb_prefix, stop_on_unit))
-        return [pk.unpack(p) for p in basis]
     keyf = pk.key
     unit = [{0: field.one}]  # the packed monomial 1 is 0
 
@@ -453,51 +437,55 @@ class IdealHandle:
             gens.append(g)
         self.generators: tuple[Polynomial, ...] = tuple(gens)
         self._cache: dict[TermOrder, tuple[Polynomial, ...]] = {}
-        self._packed: dict[TermOrder, tuple[_Packing, list[tuple[int, dict]]]] = {}
+        # keyed by order, and by (order, bits) for the basis packed wider
+        self._packed: dict[object, tuple[_Packing, list[tuple[int, dict]]]] = {}
         self._numerator: tuple[int, ...] | None = None
 
     def groebner_basis(self, order: TermOrder = DEGREVLEX) -> tuple[Polynomial, ...]:
         cached = self._cache.get(order)
         if cached is None:
-            field = self.ring.field
-            pk, basis = _packed(self.ring.arity, order, [g._terms for g in self.generators],
-                                lambda q: _buchberger([q.pack(g._terms) for g in self.generators],
-                                                      self.ring.arity, q, field))
-            self._remember(order, pk, basis)
-            cached = self._cache[order]
+            pk, reducers = self._packed_basis(order)
+            cached = self._cache.setdefault(order, tuple(
+                Polynomial._make(self.ring, pk.unpack(p)) for _, p in reversed(reducers)))
         return cached
 
-    def _packed_basis(self, order: TermOrder) -> tuple[_Packing, list[tuple[int, dict]]]:
-        """The packing and the reduced basis as ascending ``(lm, poly)`` reducers."""
+    def _packed_basis(self, order: TermOrder, bits: int = 0
+                      ) -> tuple[_Packing, list[tuple[int, dict]]]:
+        """The packing and the reduced basis as ascending ``(lm, poly)`` reducers:
+        the cached entry, computed on first request, or, when ``bits`` is wider
+        than its packing, the entry packed again ``bits`` wide (also cached, so
+        repeated wide normal forms pack the basis once)."""
         entry = self._packed.get(order)
         if entry is None:
-            self.groebner_basis(order)
-            entry = self._packed[order]
-        return entry
+            field, gens = self.ring.field, self.generators
+            entry = self._remember(order, *_packed(
+                _packing(self.ring.arity, order, 8), [g._terms for g in gens],
+                lambda q: _buchberger([q.pack(g._terms) for g in gens], q, field)))
+        pk, reducers = entry
+        if bits <= pk.bits:
+            return entry
+        wide = self._packed.get((order, bits))
+        if wide is None:
+            q = _packing(pk.arity, order, bits)
+            decode, encode = pk.decode, q.encode
+            wide = self._packed.setdefault((order, bits), (q, [
+                (encode(decode(lm)), {encode(decode(m)): c for m, c in p.items()})
+                for lm, p in reducers]))
+        return wide
 
-    def _remember(self, order: TermOrder, pk: _Packing, basis: list[dict]) -> None:
+    def _remember(self, order: TermOrder, pk: _Packing, basis: list[dict]) -> tuple:
         """Cache a reduced basis, its elements in descending order of leading
-        monomials (each its own first key), as polynomials and packed."""
-        # packed first: a reader that finds the tuple basis finds the packed one
-        self._packed.setdefault(order, (pk, [(next(iter(p)), p) for p in reversed(basis)]))
-        self._cache.setdefault(order, tuple(Polynomial._make(self.ring, pk.unpack(p))
-                                            for p in basis))
+        monomials (each its own first key), packed; `groebner_basis` unpacks
+        it on first request."""
+        return self._packed.setdefault(order, (pk, [(next(iter(p)), p) for p in reversed(basis)]))
 
     def normal_form(self, f: Polynomial, order: TermOrder = DEGREVLEX) -> Polynomial:
         if f.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
-        pk, reducers = self._packed_basis(order)
-        if max(map(sum, f._terms), default=0) >> pk.bits == 0:
-            try:
-                r = _reduce_full(pk.pack(f._terms), reducers, pk, self.ring.field)
-                return Polynomial._make(self.ring, pk.unpack(r))
-            except _Overflow:
-                pass
-        # f or its reduction needs wider fields: basis and f are packed afresh
-        reducers = [(g.leading_monomial(order), g._terms)
-                    for g in reversed(self.groebner_basis(order))]
-        return Polynomial._make(self.ring,
-                                _reduce_full(f._terms, reducers, order, self.ring.field))
+        field = self.ring.field
+        q, r = _packed(self._packed_basis(order)[0], [f._terms], lambda q: _reduce_full(
+            q.pack(f._terms), self._packed_basis(order, q.bits)[1], q, field))
+        return Polynomial._make(self.ring, q.unpack(r))
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
@@ -569,32 +557,25 @@ def _rabinowitsch(ring: Ring, f: Polynomial) -> tuple[Ring, dict]:
     return ext, (ext.one() - ext.variable(ext.variables[0]) * transport(f, ext))._terms
 
 
-def _lift(terms: dict) -> dict:
-    """Exponent tuples of S read in the ring `_rabinowitsch` extends it to."""
-    return {(0,) + m: c for m, c in terms.items()}
-
-
 def _rabinowitsch_contains(I: IdealHandle, f: Polynomial) -> bool:
     """1 in I + (1 - t*f) over the ring extended with a fresh variable t.
 
     The extension prepends t, which leaves degrevlex comparisons of t-free
     monomials unchanged; the cached basis of I therefore stays a reduced basis
     in the extended ring and is reused as a Buchberger prefix.  t takes the
-    lowest degrevlex field, so in a packing as wide as I's the packed basis
+    lowest degrevlex field, so the packed basis, as wide as the run's packing,
     only shifts up one field.
     """
-    pk, reducers = I._packed_basis(DEGREVLEX)
+    pk, _ = I._packed_basis(DEGREVLEX)
     ext, rab = _rabinowitsch(I.ring, f)
 
     def run(q: _Packing) -> list[dict]:
-        if q.bits == pk.bits:
-            prefix = [{m << q.width: c for m, c in p.items()} for _, p in reducers]
-        else:
-            prefix = [q.pack(_lift(g._terms)) for g in I.groebner_basis(DEGREVLEX)]
-        return _buchberger(prefix + [q.pack(rab)], ext.arity, q, ext.field,
+        prefix = [{m << q.width: c for m, c in p.items()}
+                  for _, p in I._packed_basis(DEGREVLEX, q.bits)[1]]
+        return _buchberger(prefix + [q.pack(rab)], q, ext.field,
                            gb_prefix=len(prefix), stop_on_unit=True)
 
-    _, basis = _packed(ext.arity, DEGREVLEX, [rab], run, pk.bits)
+    _, basis = _packed(_packing(ext.arity, DEGREVLEX, pk.bits), [rab], run)
     return len(basis) == 1 and next(iter(basis[0])) == 0
 
 
@@ -604,18 +585,15 @@ _WITNESS_BOUND = 8
 
 def _extend(H: IdealHandle, polys: list[Polynomial]) -> IdealHandle:
     """H + (polys), its degrevlex basis grown from H's cached packed one."""
-    pk, reducers = H._packed_basis(DEGREVLEX)
+    pk, _ = H._packed_basis(DEGREVLEX)
     seeds = [p._terms for p in polys]
 
     def run(q: _Packing) -> list[dict]:
-        if q.bits == pk.bits:
-            prefix = [p for _, p in reducers]
-        else:
-            prefix = [q.pack(g._terms) for g in H.groebner_basis(DEGREVLEX)]
-        return _buchberger(prefix + [q.pack(s) for s in seeds], H.ring.arity, q, H.ring.field,
+        prefix = [p for _, p in H._packed_basis(DEGREVLEX, q.bits)[1]]
+        return _buchberger(prefix + [q.pack(s) for s in seeds], q, H.ring.field,
                            gb_prefix=len(prefix))
 
-    q, basis = _packed(H.ring.arity, DEGREVLEX, seeds, run, pk.bits)
+    q, basis = _packed(pk, seeds, run)
     out = IdealHandle(H.ring, H.generators + tuple(polys))
     out._remember(DEGREVLEX, q, basis)
     return out
@@ -693,15 +671,12 @@ def eliminate(I: IdealHandle, variables) -> IdealHandle:
     if not elim:
         return IdealHandle(I.ring, I.generators)
     perm = Ring(tuple(elim + rest), I.ring.field)
-    seeds = [transport(g, perm)._terms for g in I.generators]
-    basis = _buchberger(seeds, perm.arity, block_order(len(elim)), perm.field)
     k = len(elim)
+    basis = IdealHandle(perm, [transport(g, perm) for g in I.generators]).groebner_basis(
+        block_order(k))
     target = Ring(tuple(rest), I.ring.field)
-    kept = []
-    for p in basis:
-        if all(all(e == 0 for e in m[:k]) for m in p):
-            kept.append(transport(Polynomial._make(perm, p), target))
-    return IdealHandle(target, kept)
+    return IdealHandle(target, [transport(p, target) for p in basis
+                                if not any(any(m[:k]) for m in p._terms)])
 
 
 def _certify(seeds: list[dict], basis: list[dict], pk: _Packing, field) -> None:
@@ -725,15 +700,15 @@ def saturate(I: IdealHandle, f: Polynomial) -> IdealHandle:
     if f.is_zero():
         raise ScrollstciError("cannot saturate by zero")
     ext, rab = _rabinowitsch(I.ring, f)
-    seeds = [_lift(g._terms) for g in I.generators] + [rab]
+    seeds = [{(0,) + m: c for m, c in g._terms.items()} for g in I.generators] + [rab]
 
     def run(q: _Packing) -> list[dict]:
         packed = [q.pack(s) for s in seeds]
-        basis = _buchberger(packed, ext.arity, q, ext.field)
+        basis = _buchberger(packed, q, ext.field)
         _certify(packed, basis, q, ext.field)
         return basis
 
-    pk, basis = _packed(ext.arity, block_order(1), seeds, run)
+    pk, basis = _packed(_packing(ext.arity, block_order(1), 8), seeds, run)
     return IdealHandle(I.ring, [Polynomial._make(I.ring, {m[1:]: c for m, c in p.items()})
                                 for p in map(pk.unpack, basis) if all(m[0] == 0 for m in p)])
 

@@ -317,18 +317,6 @@ class TermOrder:
         k = self.block
         return lambda m: (m[:k], sum(m[k:]), tuple(map(neg, reversed(m[k:]))))
 
-    def descending_key(self) -> Callable[[tuple], object]:
-        """A key that ranks the largest monomial first: it compares two
-        monomials the other way round from ``key``, as a heap needs."""
-        if self.kind == "lex":
-            return lambda m: tuple(map(neg, m))
-        if self.kind == "deglex":
-            return lambda m: (-sum(m), tuple(map(neg, m)))
-        if self.kind == "degrevlex":
-            return lambda m: (-sum(m), m[::-1])
-        k = self.block
-        return lambda m: (tuple(map(neg, m[:k])), -sum(m[k:]), m[k:][::-1])
-
     def __str__(self) -> str:
         return f"block:{self.block}" if self.kind == "block" else self.kind
 
@@ -555,20 +543,6 @@ def substitute(p: Polynomial, assignment: Mapping[str, Polynomial],
             term = term * img ** e
         out = out + term
     return out
-
-
-def evaluate(p: Polynomial, point: Mapping[str, object]):
-    """Evaluate at a scalar point; every ring variable must be assigned."""
-    field = p.ring.field
-    vals = [field.coerce(point[v]) for v in p.ring.variables]
-    total = field.zero
-    for mono, coeff in p._terms.items():
-        term = coeff
-        for v, e in zip(vals, mono):
-            for _ in range(e):
-                term = field.mul(term, v)
-        total = field.add(total, term)
-    return total
 
 
 def transport(p: Polynomial, target: Ring) -> Polynomial:

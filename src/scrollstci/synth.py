@@ -220,8 +220,7 @@ class SynthesisCertificate:
         }
 
 
-def synthesize(spec: TwoLinearSpec, verify: bool = True,
-               intersection: IdealHandle | None = None) -> SynthesisCertificate:
+def synthesize(spec: TwoLinearSpec, verify: bool = True) -> SynthesisCertificate:
     """Emit <= projdim generators and certify radical equality with the target.
 
     Refuses scrolls with more than one block (their arithmetical rank is not
@@ -253,7 +252,7 @@ def synthesize(spec: TwoLinearSpec, verify: bool = True,
 
     verified: bool | None = None
     if verify:
-        target = intersection if intersection is not None else intersection_ideal(spec)
+        target = intersection_ideal(spec)
         for g in gens:
             if not target.contains(g):
                 diagnostics.append(f"generator outside the intersection: {g}")
@@ -269,12 +268,10 @@ def synthesize(spec: TwoLinearSpec, verify: bool = True,
     )
 
 
-def verify_generator_list(gens, spec: TwoLinearSpec,
-                          intersection: IdealHandle | None = None) -> bool:
+def verify_generator_list(gens, spec: TwoLinearSpec) -> bool:
     """Oracle check: rad(gens) equals the radical of the component intersection."""
     gens = list(gens)
     for g in gens:
         if g.ring != spec.ring:
             raise RingMismatchError("generator lives in a different ring")
-    target = intersection if intersection is not None else intersection_ideal(spec)
-    return radical_equal(IdealHandle(spec.ring, gens), target)
+    return radical_equal(IdealHandle(spec.ring, gens), intersection_ideal(spec))

@@ -11,6 +11,21 @@ def fixtures_dir() -> Path:
     return FIXTURES_DIR
 
 
+def evaluate(p, point):
+    """Evaluate a polynomial at a scalar point; every ring variable must be
+    assigned.  An independent point check: it multiplies out each term."""
+    field = p.ring.field
+    vals = [field.coerce(point[v]) for v in p.ring.variables]
+    total = field.zero
+    for mono, coeff in p._terms.items():
+        term = coeff
+        for v, e in zip(vals, mono):
+            for _ in range(e):
+                term = field.mul(term, v)
+        total = field.add(total, term)
+    return total
+
+
 def assert_canonical(scalars, field) -> None:
     """QQ: each scalar an int, or a Fraction whose denominator is not 1;
     F_p: each an int in [0, p)."""

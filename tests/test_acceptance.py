@@ -94,7 +94,7 @@ def test_criterion_2_first_curve_example():
         inter = intersection_ideal(spec)
         full = full_ideal(spec, check=False)
         assert full.groebner_basis() == inter.groebner_basis()
-        cert = synthesize(spec, intersection=inter)
+        cert = synthesize(spec)
         assert cert.count == 6
         assert cert.verified is True
         published = [parse(spec.ring, t) for t in (
@@ -105,7 +105,7 @@ def test_criterion_2_first_curve_example():
             "c*z + a*(z - u) + b*(y - u)",
             "c*v + a*v + b*v",
         )]
-        assert verify_generator_list(published, spec, intersection=inter)
+        assert verify_generator_list(published, spec)
 
 
 # --- 3: second curve example -------------------------------------------------------
@@ -114,8 +114,7 @@ def test_criterion_3_second_curve_example():
     with criterion(3, "second-curve-example"):
         spec = fixtures.second_curve_spec()
         assert projdim(spec) == 5
-        inter = intersection_ideal(spec)
-        cert = synthesize(spec, intersection=inter)
+        cert = synthesize(spec)
         assert cert.verified is True and cert.count == 5
         expected = [parse(spec.ring, t) for t in (
             "x*(x - u) - c^2",
@@ -125,7 +124,7 @@ def test_criterion_3_second_curve_example():
             "x*z",
         )]
         assert sorted(map(str, cert.generators)) == sorted(map(str, expected))
-        assert verify_generator_list(expected, spec, intersection=inter)
+        assert verify_generator_list(expected, spec)
 
 
 # --- 4: q' example --------------------------------------------------------------------
@@ -135,9 +134,8 @@ def test_criterion_4_qprime_example():
         spec = fixtures.qprime_spec()
         assert projdim(spec) == 3
         assert cohom_dim(spec).value == 3
-        inter = intersection_ideal(spec)
         qp1, qp2, qp3 = fixtures.qprime_generators()
-        assert verify_generator_list([qp1, qp2, qp3], spec, intersection=inter)
+        assert verify_generator_list([qp1, qp2, qp3], spec)
         ring = spec.ring
         a, b, c, d, e, f, g = (ring.variable(v) for v in "abcdefg")
         F = a * d - b * c
@@ -337,11 +335,10 @@ def test_criterion_9c_tableau_permutation_robustness():
         for builder in (fixtures.coordinate_lines_spec, fixtures.fiber_shaped_spec,
                         fixtures.second_curve_spec, fixtures.first_curve_spec):
             spec = builder()
-            inter = intersection_ideal(spec)
             texts = set()
             for _ in range(3):
                 shuffled = _shuffle_listed_bases(spec, rng)
-                cert = synthesize(shuffled, intersection=inter)
+                cert = synthesize(shuffled)
                 assert cert.verified is True
                 assert cert.count == projdim(spec)
                 texts.add(tuple(str(g) for g in cert.generators))
@@ -352,7 +349,7 @@ def test_criterion_9c_tableau_permutation_robustness():
 def test_criterion_9c_misaligned_override_is_reported_not_hidden():
     # the row grouping matters: [y-u, a, x] breaks the staircase, and the
     # synthesized rows all vanish at a point outside the target variety
-    from scrollstci.poly import evaluate
+    from conftest import evaluate
 
     spec = fixtures.second_curve_spec()
     ring = spec.ring
@@ -415,12 +412,11 @@ def test_criterion_9d_classification_replays():
 def test_criterion_10_negative_controls():
     with criterion(10, "negative-controls"):
         spec = fixtures.qprime_spec()
-        inter = intersection_ideal(spec)
         gens = fixtures.qprime_generators()
-        assert verify_generator_list(gens, spec, intersection=inter)
+        assert verify_generator_list(gens, spec)
         for i in range(3):
             dropped = gens[:i] + gens[i + 1:]
-            assert not verify_generator_list(dropped, spec, intersection=inter)
+            assert not verify_generator_list(dropped, spec)
 
         curve = fixtures.first_curve_spec()
         ring = curve.ring

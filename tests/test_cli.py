@@ -484,6 +484,18 @@ def test_timeout_env_var_is_read_on_every_run(capsys, tmp_path, monkeypatch):
     assert code == 2 and doc["status"] == "error"
 
 
+def test_a_nan_timeout_is_refused_and_inf_means_no_limit(capsys, tmp_path, monkeypatch):
+    path = write_ideal(tmp_path, "quick.json", ["x"], ["x"])
+    code, doc = invoke(capsys, "--timeout", "nan", "gb", path)
+    assert code == 2 and doc["payload"]["message"] == "timeout must be a number of seconds, not nan"
+    monkeypatch.setenv("SCROLLSTCI_TIMEOUT", "nan")
+    code, doc = invoke(capsys, "gb", path)
+    assert code == 2 and doc["payload"]["message"] == "timeout must be a number of seconds, not nan"
+    monkeypatch.setenv("SCROLLSTCI_TIMEOUT", "inf")
+    assert invoke(capsys, "gb", path)[0] == 0
+    assert invoke(capsys, "--timeout", "inf", "gb", path)[0] == 0
+
+
 def test_field_override(tmp_path, capsys):
     path = write_ideal(tmp_path, "i.json", ["x", "y"], ["x^2 - y"])
     code, doc = invoke(capsys, "--field", "Fp=7", "gb", path)

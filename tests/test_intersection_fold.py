@@ -95,7 +95,7 @@ def test_full_ideal_refuses_exactly_the_validated_specs_the_fold_refutes(steps):
         else:
             assert False not in steps
             assert handle.generators == full_ideal(spec, check=False).generators
-            assert handle._cache  # the certified handle comes back with its basis
+            assert handle._packed  # the certified handle comes back with its basis
     assert set(refused) == NOT_THE_INTERSECTION
 
 

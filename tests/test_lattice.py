@@ -38,7 +38,7 @@ def test_binomial_rejects_zero_vector():
 
 
 def test_binomial_vanishes_at_ones_and_homogeneity():
-    from scrollstci.poly import evaluate
+    from conftest import evaluate
 
     cases = [(1, -1), (2, -1), (3, -3)]
     for v in cases:

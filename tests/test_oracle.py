@@ -16,15 +16,12 @@ from scrollstci.linjoin import TwoLinearSpec
 from scrollstci.oracle import (
     IdealHandle,
     OracleTimeout,
-    _buchberger,
     _dimension,
     _extend,
     _hilbert_numerator,
-    _interreduce,
     _monic,
     _rabinowitsch_contains,
     _radical_chain,
-    _reduce_full,
     certify_intersection,
     eliminate,
     groebner_basis,
@@ -301,6 +298,28 @@ def test_extend_matches_fresh_basis():
     grown = _extend(I, more)
     assert grown.groebner_basis() == ideal(R3, "x^2 - y*z", "y^3", "x*y - z^2",
                                            "z^3 + x").groebner_basis()
+
+
+def test_extend_by_high_degree_polynomials_repacks_the_cached_basis_wider():
+    gens = ("x - y", "y*z - z^2")
+    I = ideal(R3, *gens)
+    more = ("x^200 - z^3", "y^130*z - x")
+    with time_limit(60):  # a basis read at the wrong width may not end
+        grown = _extend(I, [parse(R3, g) for g in more])
+    assert grown.groebner_basis() == ideal(R3, *gens, *more).groebner_basis()
+    assert I._packed_basis(DEGREVLEX)[0].bits == 8
+    assert grown._packed_basis(DEGREVLEX)[0].bits > 8
+    # the basis packed wider for a run is kept for the next one
+    assert I._packed_basis(DEGREVLEX, 16) is I._packed_basis(DEGREVLEX, 16)
+
+
+def test_rabinowitsch_of_a_high_degree_polynomial_repacks_the_cached_basis_wider():
+    I = ideal(R3, "x^2", "y^3 - z^3")
+    with time_limit(60):
+        assert _rabinowitsch_contains(I, parse(R3, "x^200 + x*y"))
+        assert _rabinowitsch_contains(I, parse(R3, "y^150 - z^150"))
+        assert not _rabinowitsch_contains(I, parse(R3, "y^200"))
+    assert I._packed_basis(DEGREVLEX)[0].bits == 8
 
 
 # --- intersection ------------------------------------------------------------------
@@ -616,6 +635,41 @@ def test_time_limit_is_per_thread():
 
 
 # --- kernels against the references they replaced ---------------------------------------
+#
+# The kernels take packed monomials only; these adapters run them on exponent
+# tuples under a `TermOrder`: pack, run packed at the width `oracle._packed`
+# picks, and unpack the result.
+
+def _narrowest(arity, order):
+    return oracle._packing(arity, order, 8)
+
+
+def _reduce_full(p, reducers, order, field):
+    if not p:
+        return {}
+    pk, r = oracle._packed(
+        _narrowest(len(next(iter(p))), order), [p] + [g for _, g in reducers],
+        lambda q: oracle._reduce_full(q.pack(p), [(q.encode(lm), q.pack(g)) for lm, g in reducers],
+                                      q, field))
+    return pk.unpack(r)
+
+
+def _interreduce(pairs, order, field):
+    if not pairs:
+        return []
+    pk, out = oracle._packed(
+        _narrowest(len(pairs[0][0]), order), [p for _, p in pairs],
+        lambda q: oracle._interreduce([(q.encode(lm), q.pack(p)) for lm, p in pairs], q, field))
+    return [(pk.decode(lm), pk.unpack(p)) for lm, p in out]
+
+
+def _buchberger(seeds, arity, order, field, gb_prefix=0, stop_on_unit=False):
+    pk, basis = oracle._packed(
+        _narrowest(arity, order), seeds,
+        lambda q: oracle._buchberger([q.pack(s) for s in seeds], q, field,
+                                     gb_prefix, stop_on_unit))
+    return [pk.unpack(p) for p in basis]
+
 
 def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
@@ -907,7 +961,7 @@ def test_a_run_that_outgrows_its_packing_is_rerun_wider():
     R = Ring(("x", "y"))
     for order in (LEX, block_order(1)):
         seeds = [parse(R, g)._terms for g in ("x - y^100", "x^3")]
-        pk, _ = oracle._packed(2, order, seeds, lambda q: None)
+        pk, _ = oracle._packed(_narrowest(2, order), seeds, lambda q: None)
         assert pk.bits == 8
         basis = _buchberger(seeds, 2, order, QQ)
         assert [list(p.items()) for p in basis] == \

@@ -22,7 +22,6 @@ from scrollstci.poly import (
     RingMismatchError,
     ScrollstciError,
     block_order,
-    evaluate,
     format_poly,
     is_linear_form,
     linear_coeffs,
@@ -35,7 +34,8 @@ from scrollstci.poly import (
     transport,
 )
 
-from conftest import assert_canonical
+import tuple_kernel
+from conftest import assert_canonical, evaluate
 
 R2 = Ring(("x", "y"))
 R3 = Ring(("x", "y", "z"))
@@ -189,7 +189,8 @@ def test_total_order_on_degree_four_monomials(order):
 @pytest.mark.parametrize("order", [LEX, DEGLEX, DEGREVLEX, block_order(0), block_order(2)])
 def test_descending_key_reverses_the_order(order):
     monos = _all_monomials(4, 3)
-    assert sorted(monos, key=order.descending_key()) == sorted(monos, key=order.key(), reverse=True)
+    assert sorted(monos, key=tuple_kernel.descending_key(order)) == \
+        sorted(monos, key=order.key(), reverse=True)
 
 
 # --- hypothesis: ring axioms ----------------------------------------------------

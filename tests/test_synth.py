@@ -219,7 +219,6 @@ def test_tableau_verdict_invariant_under_listed_basis_permutation(curve1):
     # permuting the listed bases re-sorts through the alignment rule: the
     # generator text can move, the verdict cannot
     rng = random.Random(41)
-    inter = intersection_ideal(curve1)
     for _ in range(3):
         comps = []
         for comp in curve1.components:
@@ -228,7 +227,7 @@ def test_tableau_verdict_invariant_under_listed_basis_permutation(curve1):
             comps.append(ComponentSpec(scroll=comp.scroll, delta=comp.delta,
                                        p_forms=tuple(p)))
         shuffled = TwoLinearSpec(curve1.ring, tuple(comps))
-        cert = synthesize(shuffled, intersection=inter)
+        cert = synthesize(shuffled)
         assert cert.count == 6 and cert.verified is True
 
 
@@ -286,11 +285,9 @@ def test_qprime_exact_identities():
 
 def test_dropping_any_qprime_generator_fails():
     spec = fixtures.qprime_spec()
-    inter = intersection_ideal(spec)
     gens = fixtures.qprime_generators()
     for i in range(3):
-        assert not verify_generator_list(gens[:i] + gens[i + 1:], spec,
-                                         intersection=inter)
+        assert not verify_generator_list(gens[:i] + gens[i + 1:], spec)
 
 
 def test_square_block_list_verifies():

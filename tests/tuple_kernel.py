@@ -6,9 +6,22 @@ it against this one.
 """
 
 from heapq import heapify, heappop, heappush
-from operator import add, le, sub
+from operator import add, le, neg, sub
 
 from scrollstci.poly import _DEADLINE, TermOrder, _check_deadline
+
+
+def descending_key(order: TermOrder):
+    """A key that ranks the largest monomial first: it compares two monomials
+    the other way round from ``order.key()``, as a heap needs."""
+    if order.kind == "lex":
+        return lambda m: tuple(map(neg, m))
+    if order.kind == "deglex":
+        return lambda m: (-sum(m), tuple(map(neg, m)))
+    if order.kind == "degrevlex":
+        return lambda m: (-sum(m), m[::-1])
+    k = order.block
+    return lambda m: (tuple(map(neg, m[:k])), -sum(m[k:]), m[k:][::-1])
 
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
@@ -45,7 +58,7 @@ def _reduce_full(p: dict, reducers: list[tuple[tuple, dict]], order: TermOrder, 
     enter the result in descending order, so its first key is its leading
     monomial.
     """
-    dkey = order.descending_key()
+    dkey = descending_key(order)
     work = dict(p)
     heap = [(dkey(m), m) for m in work]
     heapify(heap)
