@@ -54,7 +54,7 @@ class LatticeBasis:
 
 def binomial(ring: Ring, v) -> Polynomial:
     """x^{v+} - x^{v-} for v = v+ - v- with disjoint nonnegative supports."""
-    v = tuple(int(x) for x in v)
+    v = tuple(v)
     if len(v) != ring.arity:
         raise LatticeError("vector length must equal the ring arity")
     if all(x == 0 for x in v):

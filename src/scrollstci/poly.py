@@ -9,8 +9,9 @@ including across threads.
 
 The deadline set by `time_limit` lives in a context variable, so it bounds
 only the thread (or task) that set it: a new thread starts with no deadline.
-Products check it once per term of the left factor, so powering and parsing
-are bounded as well as the Groebner loops built on top.
+Every product checks it, and a product of two factors with several terms
+checks it once per term of the left one, so powering and parsing are bounded
+as well as the Groebner loops built on top.
 
 Coefficients have one canonical form per field.  Over the rationals a
 coefficient is a plain int when it is integral and a `fractions.Fraction` only
@@ -155,15 +156,18 @@ class FieldSpec:
     # --- scalar arithmetic -------------------------------------------------
 
     def coerce(self, x):
-        """Bring an int or Fraction into canonical scalar form."""
+        """Bring an int or Fraction into canonical scalar form; refuse any other class."""
+        cls = x.__class__
+        if cls is not int and cls is not Fraction:
+            raise TypeError(f"scalars are int or Fraction, got {x!r}")
         if self.kind == "Fp":
-            if isinstance(x, Fraction):
+            if cls is Fraction:
                 den = x.denominator % self.p
                 if den == 0:
                     raise ScrollstciError("denominator vanishes modulo p")
                 return (x.numerator * pow(den, self.p - 2, self.p)) % self.p
-            return int(x) % self.p
-        return x if x.__class__ is int else _qq_normal(Fraction(x))
+            return x % self.p
+        return x if cls is int else _qq_normal(x)
 
     def inv(self, a):
         if a == 0:
@@ -336,6 +340,66 @@ def order_from_string(text: str) -> TermOrder:
     return TermOrder(text)
 
 
+# --- term dicts {exponent tuple: nonzero scalar}, shared by the arithmetic and the parser
+# Terms come in the order of the plain loops: a sum appends new monomials after
+# the old ones, a product runs over a's terms, and within each over b's.
+
+def _add_into(out: dict, terms: dict, op) -> None:
+    """``out`` += ``terms`` (op = field.add) or -= ``terms`` (op = field.sub), in place."""
+    get = out.get
+    for m, c in terms.items():
+        s = op(get(m, 0), c)
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+
+
+def _product(a: dict, b: dict, field: FieldSpec) -> dict:
+    """Terms of a*b; a one-term factor only shifts the other's exponents (no two
+    terms meet, and in a field no product vanishes).  The deadline is checked
+    once, and once per term of a if both factors have several terms."""
+    fmul = field.mul
+    deadline = _DEADLINE.get()
+    _check_deadline(deadline)
+    if len(b) == 1:
+        (mb, cb), = b.items()
+        return {tuple(map(add, m, mb)): fmul(c, cb) for m, c in a.items()}
+    if len(a) == 1:
+        (ma, ca), = a.items()
+        return {tuple(map(add, ma, m)): fmul(ca, c) for m, c in b.items()}
+    fadd = field.add
+    out: dict = {}
+    for m1, c1 in a.items():
+        _check_deadline(deadline)
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            c = fmul(c1, c2)
+            acc = out.get(m)
+            if acc is None:
+                out[m] = c
+            else:
+                s = fadd(acc, c)
+                if s == 0:
+                    del out[m]
+                else:
+                    out[m] = s
+    return out
+
+
+def _power(d: dict, n: int, ring: Ring) -> dict:
+    """Terms of d**n by squaring and multiplying, one `_product` per step, so a
+    one-term power is log2(n) shifts and the deadline is checked per step."""
+    result = None  # stands for 1 until the first factor
+    while n:
+        if n & 1:
+            result = d if result is None else _product(result, d, ring.field)
+        if n > 1:
+            d = _product(d, d, ring.field)
+        n >>= 1
+    return {(0,) * ring.arity: ring.field.one} if result is None else result
+
+
 class Polynomial:
     """Immutable sparse polynomial: a map monomial -> nonzero scalar."""
 
@@ -346,7 +410,9 @@ class Polynomial:
         field = ring.field
         items = terms.items() if isinstance(terms, Mapping) else terms
         for mono, coeff in items:
-            mono = tuple(int(e) for e in mono)
+            mono = tuple(mono)
+            if not all(e.__class__ is int for e in mono):
+                raise TypeError(f"exponents are ints, got {mono!r}")
             if len(mono) != ring.arity:
                 raise ScrollstciError("monomial arity does not match ring")
             if any(e < 0 for e in mono):
@@ -412,15 +478,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
-        field = self.ring.field
         out = dict(self._terms)
-        for m, c in other._terms.items():
-            acc = out.get(m)
-            s = field.add(acc, c) if acc is not None else c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
+        _add_into(out, other._terms, self.ring.field.add)
         return Polynomial._make(self.ring, out)
 
     __radd__ = __add__
@@ -449,39 +508,14 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
-        field = self.ring.field
-        fadd, fmul = field.add, field.mul
-        out: dict = {}
-        deadline = _DEADLINE.get()
-        for m1, c1 in self._terms.items():
-            _check_deadline(deadline)
-            for m2, c2 in other._terms.items():
-                m = tuple(map(add, m1, m2))
-                c = fmul(c1, c2)
-                acc = out.get(m)
-                if acc is None:
-                    out[m] = c
-                else:
-                    s = fadd(acc, c)
-                    if s == 0:
-                        del out[m]
-                    else:
-                        out[m] = s
-        return Polynomial._make(self.ring, out)
+        return Polynomial._make(self.ring, _product(self._terms, other._terms, self.ring.field))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ScrollstciError("polynomial powers take non-negative integer exponents")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return Polynomial._make(self.ring, _power(self._terms, n, self.ring))
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -603,132 +637,6 @@ def format_poly(p: Polynomial, order: TermOrder = DEGLEX) -> str:
     return " ".join(parts)
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character at {text[pos:]!r}")
-            break
-        pos = m.end()
-        for kind in ("int", "name", "op"):
-            tok = m.group(kind)
-            if tok is not None:
-                tokens.append((kind, tok))
-                break
-    return tokens
-
-
-_MAX_NESTING = 100
-
-
-class _Parser:
-    """Recursive descent for the polynomial grammar.
-
-    expr   := [sign] term (sign term)*
-    term   := factor ('*' factor)*
-    factor := atom ['^' INT]
-    atom   := NAME | INT ['/' INT] | '(' expr ')'
-
-    Each open parenthesis costs four Python frames, so nesting deeper than
-    ``_MAX_NESTING`` is refused as malformed before the interpreter's
-    recursion limit is reached.
-    """
-
-    def __init__(self, ring: Ring, tokens: list[tuple[str, str]]):
-        self.ring = ring
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, tok = self.take()
-        if kind != "op" or tok != op:
-            raise ParseError(f"expected {op!r}, found {tok!r}")
-
-    def parse_expr(self) -> Polynomial:
-        sign = 1
-        kind, tok = self.peek()
-        if kind == "op" and tok in "+-":
-            self.take()
-            sign = -1 if tok == "-" else 1
-        total = self.parse_term() * sign
-        while True:
-            kind, tok = self.peek()
-            if kind == "op" and tok in "+-":
-                self.take()
-                nxt = self.parse_term()
-                total = total + nxt if tok == "+" else total - nxt
-            else:
-                return total
-
-    def parse_term(self) -> Polynomial:
-        result = self.parse_factor()
-        while True:
-            kind, tok = self.peek()
-            if kind == "op" and tok == "*":
-                self.take()
-                result = result * self.parse_factor()
-            else:
-                return result
-
-    def parse_factor(self) -> Polynomial:
-        base = self.parse_atom()
-        kind, tok = self.peek()
-        if kind == "op" and tok == "^":
-            self.take()
-            kind, exp = self.take()
-            if kind != "int":
-                raise ParseError("exponent must be a non-negative integer")
-            return base ** int(exp)
-        return base
-
-    def parse_atom(self) -> Polynomial:
-        kind, tok = self.take()
-        if kind == "name":
-            if tok not in self.ring.variables:
-                raise ParseError(f"unknown variable {tok!r}")
-            return self.ring.variable(tok)
-        if kind == "int":
-            num = int(tok)
-            k2, t2 = self.peek()
-            if k2 == "op" and t2 == "/":
-                self.take()
-                k3, den = self.take()
-                if k3 != "int" or int(den) == 0:
-                    raise ParseError("rational coefficients are written p/q with integers")
-                field = self.ring.field
-                d = field.coerce(int(den))
-                if d == 0:
-                    raise ParseError(f"denominator {den} vanishes modulo {field.p}")
-                return self.ring.constant(field.div(field.coerce(num), d))
-            return self.ring.constant(num)
-        if kind == "op" and tok == "(":
-            self.depth += 1
-            if self.depth > _MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}")
-            inner = self.parse_expr()
-            self.expect_op(")")
-            self.depth -= 1
-            return inner
-        raise ParseError(f"unexpected token {tok!r}")
-
-
 def json_list(doc, what: str) -> list:
     """``doc`` if it is a JSON list; else TypeError (a string would be read per character)."""
     if not isinstance(doc, list):
@@ -744,18 +652,102 @@ def json_int(doc, what: str) -> int:
     return doc
 
 
+# One token per match: an integer, a name or an operator, after optional space.
+# The last alternative catches a bad character and everything after it, from
+# the space before it on, so the tokenizer's error can quote the rest of the text.
+_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^()])|(\s*\S[\s\S]*)")
+
+_MAX_NESTING = 100
+
+
 def parse(ring: Ring, text: str) -> Polynomial:
-    """Parse polynomial text: '*' products, '^' powers, 'p/q' coefficients."""
+    """Parse polynomial text: '*' products, '^' powers, 'p/q' coefficients.
+
+    expr   := [sign] term (sign term)*
+    term   := factor ('*' factor)*
+    factor := atom ['^' INT]
+    atom   := NAME | INT ['/' INT] | '(' expr ')'
+
+    One loop over the tokens evaluates on term dicts, left to right as the
+    grammar reads; each open parenthesis pushes the sum, sign and product of
+    the term it interrupts.  The loop needs no depth limit, but nesting deeper
+    than ``_MAX_NESTING`` stays malformed input: the command line promises
+    that answer for such text.
+    """
     if not isinstance(text, str):
         raise TypeError(f"expected polynomial text, got {text!r}")
-    tokens = _tokenize(text)
-    if not tokens:
+    found = _TOKEN_RE.findall(text)
+    if not found:
         raise ParseError("empty polynomial text")
-    parser = _Parser(ring, tokens)
-    result = parser.parse_expr()
-    if parser.pos != len(tokens):
-        raise ParseError(f"trailing input near {tokens[parser.pos][1]!r}")
-    return result
+    if found[-1][1]:
+        raise ParseError(f"unexpected character at {found[-1][1]!r}")
+    toks = [tok for tok, _ in found] + [""]  # "" ends the text; nothing reads past it
+    field = ring.field
+    index = ring._index  # type: ignore[attr-defined]
+    zero = (0,) * ring.arity
+    stack: list = []
+    acc: dict = {}  # the sum of the finished terms
+    term = None  # the product of the current term's factors so far
+    neg = toks[0] == "-"
+    i = 1 if toks[0] in ("+", "-") else 0
+    while True:
+        tok = toks[i]
+        i += 1
+        if tok in index:
+            k = index[tok]
+            value = {zero[:k] + (1,) + zero[k + 1:]: field.one}
+        elif tok == "(":
+            if len(stack) == _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}")
+            stack.append((acc, neg, term))
+            acc, term = {}, None
+            neg = toks[i] == "-"
+            i += toks[i] in ("+", "-")
+            continue
+        elif tok.isdecimal():
+            c = field.coerce(int(tok))
+            if toks[i] == "/":
+                den = toks[i + 1]
+                if not den.isdecimal() or int(den) == 0:
+                    raise ParseError("rational coefficients are written p/q with integers")
+                d = field.coerce(int(den))
+                if d == 0:
+                    raise ParseError(f"denominator {den} vanishes modulo {field.p}")
+                c = field.div(c, d)
+                i += 2
+            value = {zero: c} if c else {}
+        elif _NAME_RE.match(tok):
+            raise ParseError(f"unknown variable {tok!r}")
+        else:
+            raise ParseError(f"unexpected token {tok or None!r}")
+        while True:  # the atom is read: a power, then what follows the factor
+            tok = toks[i]
+            if tok == "^":
+                exp = toks[i + 1]
+                if not exp.isdecimal():
+                    raise ParseError("exponent must be a non-negative integer")
+                value = _power(value, int(exp), ring)
+                i += 2
+                tok = toks[i]
+            term = value if term is None else _product(term, value, field)
+            i += 1
+            if tok == "*":
+                break
+            if acc or neg:
+                _add_into(acc, term, field.sub if neg else field.add)
+            else:  # an empty sum takes the term's dict, which nothing else holds
+                acc = term
+            if tok == "+" or tok == "-":
+                neg, term = tok == "-", None
+                break
+            if not stack:
+                if tok:
+                    raise ParseError(f"trailing input near {tok!r}")
+                return Polynomial._make(ring, acc)
+            if tok != ")":
+                raise ParseError(f"expected ')', found {tok or None!r}")
+            value = acc
+            acc, neg, term = stack.pop()
 
 
 # --- linear forms ---------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scrollstci.lattice import binomial
 from scrollstci.oracle import IdealHandle
 from scrollstci.poly import (
     DEGLEX,
@@ -67,6 +68,41 @@ def test_products_respect_the_deadline():
         with pytest.raises(OracleTimeout):
             base ** 40
     assert (base ** 2) == P("x^2 + 2*x*y + y^2 + 2*x + 2*y + 1")
+
+
+def test_parsing_respects_the_deadline():
+    # a product of two one-term factors checks the deadline too
+    for text in ("(x + y + z)^60", "x*y"):
+        with time_limit(0.0):
+            with pytest.raises(OracleTimeout):
+                parse(R3, text)
+
+
+def test_a_one_term_power_is_exponent_arithmetic():
+    # a bounded deadline: multiplying x out 3e9 times would exceed it
+    with time_limit(10):
+        p = parse(R2, "x^3000000000 - y")
+        assert p.items() == [((3000000000, 0), 1), ((0, 1), -1)]
+        assert (P("2*x") ** 3).items() == [((3, 0), 8)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Ring(("x", "y"), Fp(7)).constant(2.9),
+    lambda: Ring(("x", "y"), Fp(7)).monomial((1, 0), 3.5),
+    lambda: R2.constant(0.5),
+    lambda: R2.constant("1/2"),
+    lambda: R2.constant(True),
+    lambda: R2.monomial((1.5, 0)),
+    lambda: R2.monomial((1, 0.0)),
+    lambda: Polynomial(R2, {(1, 0): 0.25}),
+    lambda: linear_form(R2, [0.5, 1]),
+    lambda: binomial(R2, (1.5, -1)),
+], ids=["Fp-constant", "Fp-coefficient", "QQ-float", "QQ-string", "bool", "float-exponent",
+        "float-zero-exponent", "constructor", "linear-form", "binomial"])
+def test_no_floats_in_the_public_constructors(make):
+    # a float or a string is refused, not truncated or read as a rational
+    with pytest.raises(TypeError):
+        make()
 
 
 def test_ring_mismatch_rejected():
