@@ -139,6 +139,9 @@ def _fp_diagnostics(ring: Ring) -> list:
 def _cmd_gb(args) -> CommandResult:
     handle = _load_ideal(args.ideal, _parse_field(args.field))
     order = order_from_string(args.order)
+    if order.block > handle.ring.arity:
+        raise ScrollstciError(f"block prefix {order.block} exceeds the ring's "
+                              f"{handle.ring.arity} variables")
     basis = handle.groebner_basis(order)
     return CommandResult("ok", {"basis": [str(g) for g in basis]})
 
@@ -280,6 +283,13 @@ def _cmd_verify(args) -> CommandResult:
                          _fp_diagnostics(spec.ring))
 
 
+def _basis_entry(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ScrollstciError(f"bad integer {text.strip()!r} in --basis") from None
+
+
 def _parse_basis(args) -> lattice_mod.LatticeBasis:
     if args.basis_file:
         return _from_file(args.basis_file, lambda doc: lattice_mod.LatticeBasis([
@@ -287,7 +297,7 @@ def _parse_basis(args) -> lattice_mod.LatticeBasis:
             for row in json_list(doc, "integer vectors")]))
     if args.basis:
         return lattice_mod.LatticeBasis([
-            [int(x) for x in row.split(",") if x.strip()]
+            [_basis_entry(x) for x in row.split(",") if x.strip()]
             for row in args.basis.split(";") if row.strip()
         ])
     raise ScrollstciError("give --basis or --basis-file")

@@ -47,8 +47,9 @@ it holds for inhomogeneous ideals too.
 ``certify_intersection`` proves C = A ∩ B for homogeneous ideals without
 eliminating: C lies in A and in B by normal forms, and the Hilbert series,
 read off the degrevlex leading-term ideals by the pivot recursion, satisfy
-HS(S/C) = HS(S/A) + HS(S/B) - HS(S/(A + B)).  ``intersect`` and
-``intersect_many`` eliminate, and serve every other intersection.
+HS(S/C) = HS(S/A) + HS(S/B) - HS(S/(A + B)).  Every other intersection, and
+every elimination and saturation, takes one certified path, `_eliminated`: a
+block-order basis that replays Buchberger's criterion (`_certify`).
 
 Instances in this toolkit are small (at most ~10 variables, low degree), so
 the engine favours exactness and determinism over asymptotics.  The reduced
@@ -660,25 +661,6 @@ def radical_member(f: Polynomial, I: IdealHandle) -> RadicalCertificate:
     return RadicalCertificate(True, witness_k=k)
 
 
-def eliminate(I: IdealHandle, variables) -> IdealHandle:
-    """I intersected with the subring on the remaining variables."""
-    names = set(variables)
-    for v in names:
-        if v not in I.ring.variables:
-            raise ScrollstciError(f"cannot eliminate unknown variable {v!r}")
-    elim = [v for v in I.ring.variables if v in names]
-    rest = [v for v in I.ring.variables if v not in names]
-    if not elim:
-        return IdealHandle(I.ring, I.generators)
-    perm = Ring(tuple(elim + rest), I.ring.field)
-    k = len(elim)
-    basis = IdealHandle(perm, [transport(g, perm) for g in I.generators]).groebner_basis(
-        block_order(k))
-    target = Ring(tuple(rest), I.ring.field)
-    return IdealHandle(target, [transport(p, target) for p in basis
-                                if not any(any(m[:k]) for m in p._terms)])
-
-
 def _certify(seeds: list[dict], basis: list[dict], pk: _Packing, field) -> None:
     """Raise unless the monic ``basis``, built from ``seeds``, is a Groebner
     basis of (seeds): Buchberger's criterion, replayed by plain reductions of
@@ -692,40 +674,57 @@ def _certify(seeds: list[dict], basis: list[dict], pk: _Packing, field) -> None:
         raise ScrollstciError("Groebner basis failed its Buchberger-criterion replay")
 
 
+def _eliminated(ring: Ring, k: int, seeds: list[dict]) -> IdealHandle:
+    """(seeds) ∩ the subring on ``ring.variables[k:]``: the elements of its
+    ``block_order(k)`` basis free of the first ``k`` variables, that basis
+    replayed by `_certify` inside the run, so an `_Overflow` there widens too."""
+    field = ring.field
+
+    def run(q: _Packing) -> list[dict]:
+        packed = [q.pack(s) for s in seeds]
+        basis = _buchberger(packed, q, field)
+        _certify(packed, basis, q, field)
+        return basis
+
+    pk, basis = _packed(_packing(ring.arity, block_order(k), 8), seeds, run)
+    rest = Ring(ring.variables[k:], field)
+    return IdealHandle(rest, [Polynomial._make(rest, {m[k:]: c for m, c in p.items()})
+                              for p in map(pk.unpack, basis) if not any(any(m[:k]) for m in p)])
+
+
+def eliminate(I: IdealHandle, variables) -> IdealHandle:
+    """I intersected with the subring on the remaining variables."""
+    names = set(variables)
+    for v in names:
+        if v not in I.ring.variables:
+            raise ScrollstciError(f"cannot eliminate unknown variable {v!r}")
+    elim = [v for v in I.ring.variables if v in names]
+    if not elim:
+        return IdealHandle(I.ring, I.generators)
+    perm = Ring(tuple(elim) + tuple(v for v in I.ring.variables if v not in names),
+                I.ring.field)
+    return _eliminated(perm, len(elim), [transport(g, perm)._terms for g in I.generators])
+
+
 def saturate(I: IdealHandle, f: Polynomial) -> IdealHandle:
-    """I : f^infinity: the t-free part of the basis of I + (1 - t*f) in
-    ``block_order(1)`` (t is the first variable), certified by ``_certify``."""
+    """I : f^infinity: t eliminated from I + (1 - t*f), t a fresh first variable."""
     if f.ring != I.ring:
         raise RingMismatchError("polynomial lives in a different ring")
     if f.is_zero():
         raise ScrollstciError("cannot saturate by zero")
     ext, rab = _rabinowitsch(I.ring, f)
-    seeds = [{(0,) + m: c for m, c in g._terms.items()} for g in I.generators] + [rab]
-
-    def run(q: _Packing) -> list[dict]:
-        packed = [q.pack(s) for s in seeds]
-        basis = _buchberger(packed, q, ext.field)
-        _certify(packed, basis, q, ext.field)
-        return basis
-
-    pk, basis = _packed(_packing(ext.arity, block_order(1), 8), seeds, run)
-    return IdealHandle(I.ring, [Polynomial._make(I.ring, {m[1:]: c for m, c in p.items()})
-                                for p in map(pk.unpack, basis) if all(m[0] == 0 for m in p)])
+    return _eliminated(ext, 1, [{(0,) + m: c for m, c in g._terms.items()}
+                                for g in I.generators] + [rab])
 
 
 def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     """Ideal intersection via the one-variable trick: eliminate t from t*I + (1-t)*J."""
     if I.ring != J.ring:
         raise RingMismatchError("ideals live in different rings")
-    ring = I.ring
-    tname = ring.fresh_name("t")
-    ext = ring.extended([tname])
-    t = ext.variable(tname)
-    one_minus_t = ext.one() - t
-    gens = [t * transport(g, ext) for g in I.generators]
-    gens += [one_minus_t * transport(g, ext) for g in J.generators]
-    out = eliminate(IdealHandle(ext, gens), [tname])
-    return IdealHandle(ring, [transport(g, ring) for g in out.generators])
+    ext = I.ring.extended([I.ring.fresh_name("t")])
+    t = ext.variable(ext.variables[0])
+    return _eliminated(ext, 1, [(t * transport(g, ext))._terms for g in I.generators]
+                       + [((ext.one() - t) * transport(g, ext))._terms for g in J.generators])
 
 
 def intersect_many(handles) -> IdealHandle:
@@ -733,10 +732,7 @@ def intersect_many(handles) -> IdealHandle:
     handles = list(handles)
     if not handles:
         raise ScrollstciError("cannot intersect an empty list of ideals")
-    acc = handles[0]
-    for nxt in handles[1:]:
-        acc = intersect(acc, nxt)
-    return acc
+    return reduce(intersect, handles)
 
 
 def _hilbert_numerator(monomials) -> tuple[int, ...]:

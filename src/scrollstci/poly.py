@@ -335,9 +335,9 @@ def block_order(prefix_size: int) -> TermOrder:
 
 
 def order_from_string(text: str) -> TermOrder:
-    if text.startswith("block:"):
-        return block_order(int(text.split(":", 1)[1]))
-    return TermOrder(text)
+    """``block:<digits>`` or the name of an order; `TermOrder` refuses the rest."""
+    m = re.fullmatch(r"block:([0-9]+)", text)
+    return block_order(int(m.group(1))) if m else TermOrder(text)
 
 
 # --- term dicts {exponent tuple: nonzero scalar}, shared by the arithmetic and the parser

@@ -41,6 +41,26 @@ def test_gb_with_lex_order(tmp_path, capsys):
     assert got == {parse(ring, "y - x^2"), parse(ring, "z - x^3")}
 
 
+@pytest.mark.parametrize("order, message", [
+    ("block:99", "block prefix 99 exceeds the ring's 3 variables"),
+    ("block:4", "block prefix 4 exceeds the ring's 3 variables"),
+    ("block:x", "unknown term order 'block:x'"),
+    ("block:-1", "unknown term order 'block:-1'"),
+    ("block: 2", "unknown term order 'block: 2'"),
+])
+def test_gb_refuses_a_bad_block_order(tmp_path, capsys, order, message):
+    # block:99 ran as lex, and block:x answered with a ValueError repr
+    path = write_ideal(tmp_path, "i.json", ["x", "y", "z"], ["x^2 - y", "y*z - x"])
+    code, doc = invoke(capsys, "gb", path, "--order", order)
+    assert code == 2 and doc["payload"]["message"] == message
+
+
+def test_gb_with_a_block_order_as_wide_as_the_ring(tmp_path, capsys):
+    path = write_ideal(tmp_path, "i.json", ["x", "y", "z"], ["x^2 - y", "y*z - x"])
+    code, doc = invoke(capsys, "gb", path, "--order", "block:3")
+    assert code == 0 and doc["payload"]["basis"] == ["-y*z + x", "y^2*z^2 - y"]
+
+
 def test_member_true_false(tmp_path, capsys):
     path = write_ideal(tmp_path, "i.json", ["x", "y"], ["x"])
     code, doc = invoke(capsys, "member", path, "--poly", "x^2*y")
@@ -199,6 +219,14 @@ def test_lattice(capsys):
     assert len(gens) == 3
     code, doc = invoke(capsys, "lattice", "--basis", "1,0;0,1")
     assert code == 0 and doc["diagnostics"] == ["lattice contains the nonnegative vector (1, 0)"]
+
+
+def test_lattice_basis_names_a_bad_entry_and_accepts_spaces(capsys):
+    # int() answered with its own repr: malformed input: ValueError("invalid literal ...")
+    code, doc = invoke(capsys, "lattice", "--basis", "1,x")
+    assert code == 2 and doc["payload"]["message"] == "bad integer 'x' in --basis"
+    code, doc = invoke(capsys, "lattice", "--basis", "1, -2; 0 ,1")
+    assert code == 0 and doc["payload"]["ideal"]["gens"] == ["x1 - 1", "x2 - 1"]
 
 
 def test_lattice_names_a_nonnegative_vector_no_small_combination_shows(capsys):
@@ -597,7 +625,7 @@ def test_exit_code_contract_holds_for_any_file(tmp_path, doc):
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(option=st.sampled_from(["--poly", "--gens", "--basis", "--block"]),
+@given(option=st.sampled_from(["--poly", "--gens", "--basis", "--block", "--order"]),
        text=st.text(max_size=16))
 def test_exit_code_contract_holds_for_any_option_text(tmp_path, option, text):
     ideal = write_ideal(tmp_path, "i.json", ["x", "y"], ["x^2", "x*y"])
@@ -607,6 +635,7 @@ def test_exit_code_contract_holds_for_any_option_text(tmp_path, option, text):
         "--gens": [["verify", spec]],
         "--basis": [["lattice"]],
         "--block": [["minors"], ["verdi"], ["classify"]],
+        "--order": [["gb", ideal]],
     }[option]
     for argv in commands:
         _check_contract(argv + [option, text])

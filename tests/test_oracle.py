@@ -47,6 +47,7 @@ from scrollstci.poly import (
     block_order,
     mono_divides,
     parse,
+    transport,
 )
 from scrollstci.scroll import ScrollBlock, minors_2x2, verdi_generators
 from scrollstci.synth import synthesize
@@ -480,6 +481,38 @@ def test_eliminate_rabinowitsch_system():
     assert [str(g) for g in out.generators] == ["1"]
 
 
+def _eliminate_by_permuted_handle(I, variables):
+    """Reference for ``eliminate``, with no replay: the block-order basis of a
+    handle over the ring with the eliminated variables first, its elements
+    free of them transported to the remaining variables."""
+    elim = [v for v in I.ring.variables if v in variables]
+    rest = tuple(v for v in I.ring.variables if v not in variables)
+    perm = Ring(tuple(elim) + rest, I.ring.field)
+    basis = IdealHandle(perm, [transport(g, perm) for g in I.generators]).groebner_basis(
+        block_order(len(elim)))
+    target = Ring(rest, I.ring.field)
+    return IdealHandle(target, [transport(p, target) for p in basis
+                                if not any(any(m[:len(elim)]) for m in p.monomials())])
+
+
+_R3_MONOS = [m for m in product(range(3), repeat=3) if sum(m) <= 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from([QQ, Fp(101), Fp(7)]),
+       gens=st.lists(st.lists(st.tuples(st.sampled_from(_R3_MONOS), st.integers(-3, 3)),
+                              min_size=1, max_size=3), min_size=1, max_size=3),
+       variables=st.lists(st.sampled_from(["x", "y", "z"]), min_size=1, max_size=2, unique=True))
+def test_eliminate_matches_the_block_order_basis_of_a_permuted_ring(field, gens, variables):
+    # variables such as ["y"] or ["z", "x"] are not a prefix of (x, y, z)
+    ring = Ring(("x", "y", "z"), field)
+    I = IdealHandle(ring, [sum((c * ring.monomial(m) for m, c in terms), ring.zero())
+                           for terms in gens])
+    got, want = eliminate(I, variables), _eliminate_by_permuted_handle(I, variables)
+    assert got.ring.variables == want.ring.variables
+    assert got.generators == want.generators
+
+
 # --- saturation -----------------------------------------------------------------------
 
 def test_saturate_examples():
@@ -508,7 +541,18 @@ def test_saturate_contains_ideal_and_quotient_property():
             assert ideal_member(g, S)
 
 
-def test_saturate_refuses_a_basis_that_fails_buchbergers_criterion(monkeypatch):
+_R4 = Ring(("x1", "x2", "x3", "x4"))
+_R4T = _R4.extended(["t"])
+_CURVE = ("x1*x3 - x2^2", "x2*x4 - x3^2")
+
+
+@pytest.mark.parametrize("eliminating", [
+    lambda: saturate(ideal(_R4, *_CURVE), parse(_R4, "x1*x2*x3*x4")),
+    lambda: intersect(ideal(_R4, *_CURVE), ideal(_R4, "x1 - x4", "x2*x3 - x4^2")),
+    lambda: eliminate(ideal(_R4T, *_CURVE, "1 - t*x1*x2*x3*x4"), ["t"]),
+], ids=["saturate", "intersect", "eliminate"])
+def test_every_elimination_refuses_a_basis_that_fails_buchbergers_criterion(monkeypatch,
+                                                                            eliminating):
     # an engine that forgets the S-pairs of late basis elements returns a
     # basis that is not Groebner; replaying Buchberger's criterion catches it
     real_update = oracle._update
@@ -518,10 +562,8 @@ def test_saturate_refuses_a_basis_that_fails_buchbergers_criterion(monkeypatch):
         return G_new, ({k: v for k, v in B_new.items() if k in B} if ih >= 3 else B_new)
 
     monkeypatch.setattr(oracle, "_update", lossy_update)
-    ring = Ring(("x1", "x2", "x3", "x4"))
-    I = ideal(ring, "x1*x3 - x2^2", "x2*x4 - x3^2")
     with pytest.raises(ScrollstciError, match="Buchberger-criterion replay"):
-        saturate(I, parse(ring, "x1*x2*x3*x4"))
+        eliminating()
 
 
 def test_saturate_by_zero_rejected():
