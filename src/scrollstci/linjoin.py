@@ -381,12 +381,16 @@ def intersection_ideal(spec: TwoLinearSpec) -> IdealHandle:
 
     Step k tries the candidate I_k = minors(B_1..B_k) + sum_{j=2..k}
     Delta_j*P_j + D_k (``_presentation`` plus D_k) and keeps it when
-    ``oracle.certify_intersection`` proves it equal to the fold so far ∩ J_k;
-    otherwise it computes that intersection by elimination, and so do the
-    later steps, which try no candidate: on a spec the presentation does not
-    fit, each refused candidate is work thrown away.  When every step holds,
-    the result is I_l, whose generators are ``full_ideal``'s, with its
-    degrevlex basis cached.
+    ``oracle.certify_intersection`` proves it equal to the fold so far ∩ J_k.
+    On the specs the CLI sees, the leading terms of I_k's generators and of
+    the cached bases of the two ideals give the proof, so no step runs
+    Buchberger on I_k or on their sum, and I_k keeps the interreduction of
+    its generators as its basis.  Otherwise the step computes that
+    intersection by elimination, and so do the later steps, which try no
+    candidate: on a spec the presentation does not fit, each refused
+    candidate is work thrown away.  When every step holds, the result is
+    I_l, whose generators are ``full_ideal``'s, with its degrevlex basis
+    cached.
     """
     acc = component_ideal(spec, 1)
     certifying = True

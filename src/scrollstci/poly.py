@@ -335,9 +335,17 @@ def block_order(prefix_size: int) -> TermOrder:
 
 
 def order_from_string(text: str) -> TermOrder:
-    """``block:<digits>`` or the name of an order; `TermOrder` refuses the rest."""
+    """``block:<digits>`` or the name of an order; `TermOrder` refuses the rest.
+
+    A bare ``block`` is refused too: its prefix size would be 0, an
+    elimination order that eliminates nothing.
+    """
     m = re.fullmatch(r"block:([0-9]+)", text)
-    return block_order(int(m.group(1))) if m else TermOrder(text)
+    if m:
+        return block_order(int(m.group(1)))
+    if text == "block":
+        raise ScrollstciError("term order 'block' needs a prefix size: write block:K")
+    return TermOrder(text)
 
 
 # --- term dicts {exponent tuple: nonzero scalar}, shared by the arithmetic and the parser

@@ -47,6 +47,7 @@ def test_gb_with_lex_order(tmp_path, capsys):
     ("block:x", "unknown term order 'block:x'"),
     ("block:-1", "unknown term order 'block:-1'"),
     ("block: 2", "unknown term order 'block: 2'"),
+    ("block", "term order 'block' needs a prefix size: write block:K"),
 ])
 def test_gb_refuses_a_bad_block_order(tmp_path, capsys, order, message):
     # block:99 ran as lex, and block:x answered with a ValueError repr

@@ -3,7 +3,8 @@
 ``linjoin.intersection_ideal`` keeps each product-presentation candidate that
 ``oracle.certify_intersection`` proves and eliminates otherwise.  The
 reference here is ``intersect_many`` over the component ideals, which
-eliminates at every step; reduced bases must be identical.
+eliminates at every step; reduced bases must be identical.  A proof comes
+from leading-term bounds when they meet, and from exact bases otherwise.
 """
 
 import json
@@ -19,7 +20,7 @@ from scrollstci.linjoin import (
     intersection_ideal,
     validate,
 )
-from scrollstci.oracle import intersect_many
+from scrollstci.oracle import IdealHandle, intersect_many
 
 from test_spec_outputs import RECORDED
 
@@ -46,6 +47,24 @@ def steps(monkeypatch):
     return verdicts
 
 
+@pytest.fixture
+def routes(monkeypatch):
+    """Per ``certify_intersection`` call, (C, route): "refused", or the route
+    of the proof, "exact" when it grew a basis of A + B and "bounds" else."""
+    out, grown = [], []
+    certify, extend = oracle.certify_intersection, oracle._extend
+
+    def recorded(C, A, B):
+        del grown[:]
+        verdict = certify(C, A, B)
+        out.append((C, "refused" if not verdict else "exact" if grown else "bounds"))
+        return verdict
+
+    monkeypatch.setattr(oracle, "_extend", lambda H, polys: grown.append(1) or extend(H, polys))
+    monkeypatch.setattr(oracle, "certify_intersection", recorded)
+    return out
+
+
 def _eliminated(spec):
     return intersect_many([component_ideal(spec, i) for i in range(1, spec.l + 1)])
 
@@ -63,20 +82,41 @@ def _pinned_specs():
                     yield case["name"], field, TwoLinearSpec.from_json(doc)
 
 
-def test_fold_matches_elimination_on_every_pinned_spec(steps):
-    differ, refused = [], set()
+def test_fold_matches_elimination_on_every_pinned_spec(steps, routes):
+    differ, refused, exact = [], set(), set()
     for name, field, spec in _pinned_specs():
-        del steps[:]
+        del steps[:], routes[:]
         if intersection_ideal(spec).groebner_basis() != _eliminated(spec).groebner_basis():
             differ.append((name, field))
         if False in steps:
             refused.add(name)
             assert steps.count(False) == 1 and steps[-1] is False  # no later candidate
-        # generated specs and the fixtures are what the CLI sees: every step certified
+        if any(r == "exact" for _, r in routes):
+            exact.add(name)
+        # generated specs and the fixtures are what the CLI sees: every step
+        # certified, and by the leading-term bounds alone
         if name.startswith("generated-") or name in fixtures.SPEC_FIXTURES:
             assert validate(spec).ok and steps == [True] * (spec.l - 1), (name, field)
+            assert [r for _, r in routes] == ["bounds"] * (spec.l - 1), (name, field)
     assert differ == []
     assert NOT_THE_INTERSECTION <= refused
+    # both routes prove steps: random-164 passes validate, but its
+    # candidate's generators are not a Groebner basis
+    assert "random-164" in exact
+
+
+def test_a_step_the_bounds_decide_leaves_the_candidates_own_basis(routes):
+    decided = 0
+    for name, field, spec in _pinned_specs():
+        del routes[:]
+        intersection_ideal(spec)
+        for C, route in routes:
+            if route == "bounds":
+                fresh = IdealHandle(C.ring, C.generators)
+                assert C.groebner_basis() == fresh.groebner_basis(), (name, field)
+                assert C.hilbert_numerator() == fresh.hilbert_numerator(), (name, field)
+                decided += 1
+    assert decided
 
 
 def test_full_ideal_refuses_exactly_the_validated_specs_the_fold_refutes(steps):

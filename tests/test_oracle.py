@@ -451,6 +451,15 @@ def test_certify_intersection_proves_or_refuses():
     assert not certify_intersection(ideal(R3, "x*y", "x*z", "z"), ideal(R3, "x"),
                                     ideal(R3, "y", "z"))
     assert not certify_intersection(ideal(R3, "x*y"), ideal(R3, "x"), ideal(R3, "y", "z"))
+    # too small, with series that first differ in degree 4: x*z^3 is missing
+    assert not certify_intersection(ideal(R3, "x*y"), ideal(R3, "x"), ideal(R3, "y", "z^3"))
+    # the Hilbert series of (x*y), whose intersection it is not: x*y + y^2 is not in (x)
+    assert not certify_intersection(ideal(R3, "x*y + y^2"), ideal(R3, "x"), ideal(R3, "y"))
+    # generators that are not a Groebner basis (both lead with x^2) leave the
+    # leading-term bound short; the exact bases prove the intersection
+    C = ideal(R3, "x^2 + x*y", "x^2 + x*y + x*z")
+    assert certify_intersection(C, ideal(R3, "x"), ideal(R3, "x + y", "z"))
+    assert C.groebner_basis() == ideal(R3, "x^2 + x*y", "x*z").groebner_basis()
     # (x - 1)*y is the intersection, but the Hilbert series proves nothing
     # for inhomogeneous ideals, so the certificate is refused
     assert intersect(ideal(R2, "x - 1"), ideal(R2, "y")).groebner_basis() == \
