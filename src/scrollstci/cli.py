@@ -438,7 +438,13 @@ def run(argv) -> CommandResult:
 
 def main(argv=None) -> int:
     result = run(sys.argv[1:] if argv is None else argv)
-    print(json.dumps(result.to_json(), indent=2))
+    try:
+        print(json.dumps(result.to_json(), indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the output: no verdict was delivered, and 1 would
+        # claim a negative one
+        return 2
     return result.exit_code
 
 

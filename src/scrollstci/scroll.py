@@ -10,7 +10,10 @@ for a single non-generic block, the arithmetical-rank numbers for the
 all-generic case, and the classification of scroll matrices whose minor ideal
 sits inside a linear ideal (Delta).  ``span_containment`` decides containment
 from one residual H per entry (L = L' + H, L' in the span) against a span it is
-given; ``classify_modulo`` sorts a contained matrix into its case from them.
+given; ``classify_modulo`` sorts a contained matrix into its case from them by
+one case analysis, in which a generic column is a block with c = 0: whether the
+matrix is all-generic chooses only the case names, where alpha is read, and
+whether the two-forms case is open.
 """
 
 from __future__ import annotations
@@ -201,7 +204,7 @@ def scroll_ara_facts(matrix: ScrollMatrix | None) -> tuple[int, int] | None:
         return (0, 0)
     nongeneric = [b for b in matrix.blocks if not b.is_generic]
     if not nongeneric:
-        return (2 * matrix.ncols - 3, 0)
+        return (ara_bound_generic(matrix.ncols).ara, 0)
     if len(matrix.blocks) == 1:
         c = matrix.blocks[0].c
         return (c, c)
@@ -223,13 +226,17 @@ class BlockWitness:
 class ScrollClassification:
     """How the minor ideal of a scroll matrix sits inside a linear ideal.
 
-    Cases: ``not_contained``; ``row_in_delta`` (row 1 or 2 of the whole
-    matrix inside the span); ``block_in_delta`` (a non-generic block entirely
-    inside, with the classification of the remaining matrix in ``inner``);
-    ``H_alpha`` (every non-generic block has all entries off the span, with a
-    shared constant alpha and per-block forms H); and the generic-matrix
-    cases ``generic_line``, ``generic_column_deleted``,
-    ``generic_shared_alpha``, ``generic_two_forms``.
+    Cases, in their fixed order: ``not_contained``; a row (row 1 or 2 of the
+    whole matrix inside the span); a deleted block (a block entirely inside,
+    with the classification of the remaining matrix in ``inner``); a shared
+    alpha (each block's residuals are H, alpha H, alpha^2 H, ... with one
+    alpha and a per-block form H); and two forms (column i is a_i (h1, h2)).
+    An all-generic matrix names them ``generic_line``,
+    ``generic_column_deleted`` (``column_index``), ``generic_shared_alpha``
+    and ``generic_two_forms``; any other matrix ``row_in_delta``,
+    ``block_in_delta`` (``block_index``, never a generic block) and
+    ``H_alpha`` (a generic block inside the span has a witness with no H),
+    and has no two-forms case.
 
     When several cases hold simultaneously the first in the fixed case order
     is reported and the rest are listed under ``secondary``.
@@ -324,146 +331,77 @@ def classify_modulo(matrix: ScrollMatrix, delta: Sequence[Polynomial]) -> Scroll
 
 
 def _classify_contained(matrix, span, residuals) -> ScrollClassification:
-    # deleting a block keeps the containment and the other blocks' residuals
-    if all(b.is_generic for b in matrix.blocks):
-        return _classify_generic(matrix, span, residuals)
-    return _classify_mixed(matrix, span, residuals)
+    """The case of a matrix whose minor ideal lies in the span, taken in one
+    order: a row, a block to delete, one shared alpha, two forms.
 
-
-def _classify_generic(matrix, span, residuals) -> ScrollClassification:
+    A generic column is a block with c = 0.  An all-generic matrix reports the
+    generic case names, reads alpha off column 1 and may have two forms; in any
+    other matrix alpha comes from the first non-generic block, and a generic
+    block is never deleted."""
+    generic = all(b.is_generic for b in matrix.blocks)
+    line, deleted, index, shared = (
+        ("generic_line", "generic_column_deleted", "column_index", "generic_shared_alpha")
+        if generic else ("row_in_delta", "block_in_delta", "block_index", "H_alpha"))
     row1_in, row2_in = rows_in_span(residuals)
-    full_cols = [i for i, res in enumerate(residuals, start=1)
-                 if res[0].is_zero() and res[1].is_zero()]
-    secondary: list[dict] = []
+    zero = [all(r.is_zero() for r in res) for res in residuals]
+    deletions = [{"case": deleted, index: i}
+                 for i, (block, inside) in enumerate(zip(matrix.blocks, zero), start=1)
+                 if inside and (generic or not block.is_generic)]
 
     if row1_in != row2_in:
-        which = 1 if row1_in else 2
-        for i in full_cols:
-            secondary.append({"case": "generic_column_deleted", "column_index": i})
-        return ScrollClassification(case="generic_line", row=which,
-                                    secondary=tuple(secondary))
-    if full_cols:
-        # both rows inside, or neither row complete but some column inside
-        if row1_in and row2_in:
-            secondary.append({"case": "row_in_delta", "row": 1})
-            secondary.append({"case": "row_in_delta", "row": 2})
-        idx = full_cols[0]
+        return ScrollClassification(case=line, row=1 if row1_in else 2,
+                                    secondary=tuple(deletions))
+    if deletions:
+        # both rows inside, or neither; deleting a block keeps the containment
+        # and the other blocks' residuals
+        idx = deletions[0][index]
+        rows = [{"case": "row_in_delta", "row": w} for w in (1, 2) if row1_in]
         inner = None
-        if matrix.ncols - 1 >= 2:
+        if matrix.ncols - matrix.blocks[idx - 1].c - 1 >= 2:
             inner = _classify_contained(matrix.without_block(idx), span,
                                         residuals[:idx - 1] + residuals[idx:])
-        for i in full_cols[1:]:
-            secondary.append({"case": "generic_column_deleted", "column_index": i})
-        return ScrollClassification(case="generic_column_deleted",
-                                    column_index=idx, inner=inner,
-                                    secondary=tuple(secondary))
+        return ScrollClassification(case=deleted, **{index: idx}, inner=inner,
+                                    secondary=tuple(rows + deletions[1:]))
 
-    # no zero residual anywhere (a single zero entry would force a zero row
-    # or a zero column given the vanishing H-minors)
-    if any(res[0].is_zero() or res[1].is_zero() for res in residuals):
-        raise ClassificationError("mixed zero pattern survived the containment check")
+    # every row has an entry off the span, and no block that may be deleted
+    # lies inside it
+    source = next((res for b, res in zip(matrix.blocks, residuals) if not b.is_generic),
+                  residuals[0])
+    alpha = proportional(source[1], source[0])
+    field = span.ring.field
 
-    alpha = proportional(residuals[0][1], residuals[0][0])
-    shared_ok = alpha is not None and all(
-        (res[1] - res[0] * alpha).is_zero() for res in residuals
-    )
-    h1, h2 = residuals[0][0], residuals[0][1]
-    alphas = []
-    two_forms_ok = True
-    for res in residuals:
-        ai = proportional(res[0], h1)
-        if ai is None or not (res[1] - h2 * ai).is_zero():
-            two_forms_ok = False
-            break
-        alphas.append(ai)
-    if shared_ok:
-        witnesses = tuple(
-            BlockWitness(i, res[0], alpha)
-            for i, res in enumerate(residuals, start=1)
-        )
-        if two_forms_ok:
-            secondary.append({"case": "generic_two_forms"})
-        return ScrollClassification(case="generic_shared_alpha", alpha=alpha,
-                                    witnesses=witnesses, secondary=tuple(secondary))
-    if two_forms_ok:
-        return ScrollClassification(case="generic_two_forms", forms=(h1, h2),
-                                    alphas=tuple(alphas))
-    raise ClassificationError("generic matrix fits neither proportionality case")
+    def geometric(res) -> bool:
+        power = field.one
+        for r in res:
+            if not (r - res[0] * power).is_zero():
+                return False
+            power = field.mul(power, alpha)
+        return True
 
-
-def _classify_mixed(matrix, span, residuals) -> ScrollClassification:
-    row1_in, row2_in = rows_in_span(residuals)
-    full_blocks = [
-        i for i, res in enumerate(residuals, start=1)
-        if all(r.is_zero() for r in res) and not matrix.blocks[i - 1].is_generic
-    ]
-    secondary: list[dict] = []
-
-    if row1_in != row2_in:
-        which = 1 if row1_in else 2
-        for i in full_blocks:
-            secondary.append({"case": "block_in_delta", "block_index": i})
-        return ScrollClassification(case="row_in_delta", row=which,
-                                    secondary=tuple(secondary))
-    if row1_in and row2_in:
-        secondary.append({"case": "row_in_delta", "row": 1})
-        secondary.append({"case": "row_in_delta", "row": 2})
-    if full_blocks:
-        idx = full_blocks[0]
-        rest = matrix.without_block(idx) if len(matrix.blocks) > 1 else None
-        inner = None
-        if rest is not None and rest.ncols >= 2:
-            inner = _classify_contained(rest, span, residuals[:idx - 1] + residuals[idx:])
-        for i in full_blocks[1:]:
-            secondary.append({"case": "block_in_delta", "block_index": i})
-        return ScrollClassification(case="block_in_delta", block_index=idx,
-                                    inner=inner, secondary=tuple(secondary))
-    if row1_in and row2_in:
-        raise ClassificationError("matrix inside the span but no non-generic block is")
-
-    # H/alpha case: non-generic blocks have every entry off the span
-    alpha = None
-    witnesses: list[BlockWitness] = []
-    for i, (block, res) in enumerate(zip(matrix.blocks, residuals), start=1):
-        if block.is_generic:
-            continue
-        if any(r.is_zero() for r in res):
-            raise ClassificationError(
-                f"non-generic block {i} partially inside the span escaped the row cases")
-        a = proportional(res[1], res[0])
-        if a is None or a == 0:
-            raise ClassificationError(f"block {i} residuals are not proportional")
-        if alpha is None:
-            alpha = a
-        elif a != alpha:
-            raise ClassificationError("blocks disagree on the shared constant")
-        h = res[0]
-        power = span.ring.field.one
-        for j, r in enumerate(res):
-            if not (r - h * power).is_zero():
-                raise ClassificationError(f"block {i} breaks the geometric H-chain")
-            power = span.ring.field.mul(power, alpha)
-        witnesses.append(BlockWitness(i, h, alpha))
-    for i, (block, res) in enumerate(zip(matrix.blocks, residuals), start=1):
-        if not block.is_generic:
-            continue
-        if res[0].is_zero() and res[1].is_zero():
-            witnesses.append(BlockWitness(i, None, None))
-        elif not (res[1] - res[0] * alpha).is_zero():
-            raise ClassificationError(f"generic block {i} breaks the shared constant")
-        else:
-            witnesses.append(BlockWitness(i, res[0], alpha))
-    witnesses.sort(key=lambda w: w.block_index)
-    return ScrollClassification(case="H_alpha", alpha=alpha,
-                                witnesses=tuple(witnesses), secondary=tuple(secondary))
+    h1, h2 = residuals[0][:2]
+    alphas = tuple(proportional(res[0], h1) for res in residuals) if generic else ()
+    two_forms = generic and all(a is not None and (res[1] - h2 * a).is_zero()
+                                for a, res in zip(alphas, residuals))
+    if alpha not in (None, 0) and all(
+            inside or geometric(res) for inside, res in zip(zero, residuals)):
+        witnesses = tuple(BlockWitness(i, None, None) if inside else BlockWitness(i, res[0], alpha)
+                          for i, (inside, res) in enumerate(zip(zero, residuals), start=1))
+        secondary = ({"case": "generic_two_forms"},) if two_forms else ()
+        return ScrollClassification(case=shared, alpha=alpha, witnesses=witnesses,
+                                    secondary=secondary)
+    if two_forms:
+        return ScrollClassification(case="generic_two_forms", forms=(h1, h2), alphas=alphas)
+    raise ClassificationError("contained matrix fits no case")
 
 
 def replay_classification(matrix: ScrollMatrix, delta: Sequence[Polynomial],
                           result: ScrollClassification) -> bool:
     """Machine-check the witnesses a classification asserts.
 
-    Row containments are rank checks against span(Delta); H witnesses must lie
-    off the span with a nonzero alpha and satisfy L_j - alpha^j H in the span.
+    Row containments are rank checks against span(Delta); the H/alpha cases
+    need one witness per block, in block order, whose H lies off the span with
+    a nonzero alpha and L_j - alpha^j H in the span (or, with no H, the whole
+    block in the span); the two-forms case needs one alpha per column.
     """
     span = LinearSpan(matrix.ring, delta)
     if result.case == "not_contained":
@@ -477,7 +415,8 @@ def replay_classification(matrix: ScrollMatrix, delta: Sequence[Polynomial],
             ok = ok and replay_classification(matrix.without_block(index), delta, result.inner)
         return ok
     if result.case in ("H_alpha", "generic_shared_alpha"):
-        if result.alpha == 0:
+        indices = [w.block_index for w in result.witnesses]
+        if indices != list(range(1, len(matrix.blocks) + 1)) or result.alpha in (None, 0):
             return False
         field = matrix.ring.field
         for w in result.witnesses:
@@ -496,6 +435,8 @@ def replay_classification(matrix: ScrollMatrix, delta: Sequence[Polynomial],
         return True
     if result.case == "generic_two_forms":
         h1, h2 = result.forms
+        if not len(result.alphas) == len(matrix.blocks) == matrix.ncols:
+            return False  # one alpha per column of an all-generic matrix
         if span.contains(h1) or span.contains(h2):
             return False
         for block, ai in zip(matrix.blocks, result.alphas):

@@ -525,6 +525,22 @@ def test_a_nan_timeout_is_refused_and_inf_means_no_limit(capsys, tmp_path, monke
     assert invoke(capsys, "--timeout", "inf", "gb", path)[0] == 0
 
 
+class _ClosedPipe:
+    """An output whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_output_pipe_exits_2_not_1(monkeypatch):
+    # 1 is kept for a delivered negative verdict; fibercheck gives 1 on this spec
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    assert main(["fibercheck", str(FIXTURES_DIR / "example-curve-1.json")]) == 2
+    assert main(["validate", str(FIXTURES_DIR / "example-curve-1.json")]) == 2
+
 def test_field_override(tmp_path, capsys):
     path = write_ideal(tmp_path, "i.json", ["x", "y"], ["x^2 - y"])
     code, doc = invoke(capsys, "--field", "Fp=7", "gb", path)

@@ -12,6 +12,7 @@ from scrollstci.oracle import IdealHandle, ideal_member, radical_equal
 from scrollstci.poly import Ring, ScrollstciError, linear_span_dim, parse
 from scrollstci.scroll import (
     ScrollBlock,
+    ScrollClassification,
     ScrollMatrix,
     ara_bound_generic,
     classify_modulo,
@@ -364,6 +365,26 @@ def test_classification_fuzz_against_oracle():
             assert not ideal_member(result.witness_minor, linear)
     assert contained_seen >= 30 and not_contained_seen >= 30
 
+
+def test_replay_refuses_witness_lists_that_skip_blocks():
+    # no witness at all for the block (x, y, z), whose minor is not in (w)
+    ring = Ring(("x", "y", "z", "w"))
+    block = ScrollMatrix((var_block(ring, "x", "y", "z"),))
+    delta = [ring.variable("w")]
+    assert classify_modulo(block, delta).case == "not_contained"
+    forged = ScrollClassification(case="H_alpha", alpha=2, witnesses=())
+    assert not replay_classification(block, delta, forged)
+    # two forms with one alpha for two columns; the second column breaks them
+    ring = Ring(("p", "q", "h", "k"))
+    columns = ScrollMatrix((
+        ScrollBlock((parse(ring, "h"), parse(ring, "k"))),
+        ScrollBlock((parse(ring, "p + h"), parse(ring, "q"))),
+    ))
+    delta = [ring.variable("p"), ring.variable("q")]
+    assert classify_modulo(columns, delta).case == "not_contained"
+    forged = ScrollClassification(case="generic_two_forms", alphas=(1,),
+                                  forms=(ring.variable("h"), ring.variable("k")))
+    assert not replay_classification(columns, delta, forged)
 
 def test_scroll_json_round_trip():
     ring = Ring(("x0", "x1", "x2", "u"))
