@@ -181,12 +181,10 @@ def _cmd_intersect(args) -> CommandResult:
 
 def _load_scroll_doc(args):
     field = _parse_field(args.field)
-    if args.block:
+    if args.block is not None:
         ring = _ring_from_args(args, args.block.split(","))
         matrix = scroll.ScrollMatrix((_block_from_text(ring, args.block),))
         return ring, matrix, None
-    if not args.file:
-        raise ScrollstciError("give a scroll JSON file or --block")
 
     def build(doc):
         doc = _with_field(doc, field)
@@ -251,8 +249,6 @@ def _cmd_arabound(args) -> CommandResult:
     if args.generic_columns is not None:
         facts = scroll.ara_bound_generic(args.generic_columns)
         return CommandResult("ok", {"ara": facts.ara, "projdim": facts.projdim})
-    if not args.spec:
-        raise ScrollstciError("give a spec file or --generic-columns")
     spec = _load_spec(args.spec, _parse_field(args.field))
     bound = linjoin.ara_upper_bound(spec)
     return CommandResult("ok", {"bound": bound, "projdim": linjoin.projdim(spec)})
@@ -271,13 +267,11 @@ def _cmd_synth(args) -> CommandResult:
 
 def _cmd_verify(args) -> CommandResult:
     spec = _load_spec(args.spec, _parse_field(args.field))
-    if args.gens_file:
+    if args.gens_file is not None:
         gens = _from_file(args.gens_file, lambda doc: [
             parse(spec.ring, t) for t in json_list(doc, "polynomial strings")])
-    elif args.gens:
-        gens = [parse(spec.ring, t) for t in args.gens.split(";") if t.strip()]
     else:
-        raise ScrollstciError("give --gens or --gens-file")
+        gens = [parse(spec.ring, t) for t in args.gens.split(";") if t.strip()]
     verdict = synth.verify_generator_list(gens, spec)
     return CommandResult("ok" if verdict else "false", {"verified": verdict},
                          _fp_diagnostics(spec.ring))
@@ -291,16 +285,14 @@ def _basis_entry(text: str) -> int:
 
 
 def _parse_basis(args) -> lattice_mod.LatticeBasis:
-    if args.basis_file:
+    if args.basis_file is not None:
         return _from_file(args.basis_file, lambda doc: lattice_mod.LatticeBasis([
             json_list(row, "integers in each vector")
             for row in json_list(doc, "integer vectors")]))
-    if args.basis:
-        return lattice_mod.LatticeBasis([
-            [_basis_entry(x) for x in row.split(",") if x.strip()]
-            for row in args.basis.split(";") if row.strip()
-        ])
-    raise ScrollstciError("give --basis or --basis-file")
+    return lattice_mod.LatticeBasis([
+        [_basis_entry(x) for x in row.split(",") if x.strip()]
+        for row in args.basis.split(";") if row.strip()
+    ])
 
 
 def _cmd_lattice(args) -> CommandResult:
@@ -361,8 +353,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ("classify", _cmd_classify, "classify a scroll modulo a linear ideal"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", nargs="?")
-        p.add_argument("--block", help="comma-separated entries of a single block")
+        one = p.add_mutually_exclusive_group(required=True)
+        one.add_argument("file", nargs="?")
+        one.add_argument("--block", help="comma-separated entries of a single block")
         p.add_argument("--ring", help="comma-separated variable names")
         p.set_defaults(handler=handler)
 
@@ -384,9 +377,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_ideal)
 
     p = sub.add_parser("arabound", help="arithmetical-rank upper bound")
-    p.add_argument("spec", nargs="?")
-    p.add_argument("--generic-columns", type=int,
-                   help="report the all-generic scroll numbers for r columns")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("spec", nargs="?")
+    one.add_argument("--generic-columns", type=int,
+                     help="report the all-generic scroll numbers for r columns")
     p.set_defaults(handler=_cmd_arabound)
 
     p = sub.add_parser("synth", help="synthesize certified generators")
@@ -397,13 +391,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="certify a hand-supplied generator list")
     p.add_argument("spec")
-    p.add_argument("--gens", help="semicolon-separated polynomials")
-    p.add_argument("--gens-file", help="JSON list of polynomial strings")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--gens", help="semicolon-separated polynomials")
+    one.add_argument("--gens-file", help="JSON list of polynomial strings")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("lattice", help="lattice ideal from an integer basis")
-    p.add_argument("--basis", help="rows like '1,-2,1,0;0,1,-2,1'")
-    p.add_argument("--basis-file", help="JSON array of integer arrays")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--basis", help="rows like '1,-2,1,0;0,1,-2,1'")
+    one.add_argument("--basis-file", help="JSON array of integer arrays")
     p.add_argument("--ring", help="comma-separated variable names (default x1..xr)")
     p.set_defaults(handler=_cmd_lattice)
 

@@ -10,7 +10,6 @@ from contextlib import contextmanager
 
 import pytest
 
-from scrollstci import fixtures
 from scrollstci.lattice import lattice_ideal
 from scrollstci.linjoin import (
     ComponentSpec,
@@ -42,6 +41,8 @@ from scrollstci.scroll import (
     verdi_generators,
 )
 from scrollstci.synth import synthesize, verify_generator_list
+
+import worked_examples as examples
 
 
 @contextmanager
@@ -88,7 +89,7 @@ def test_criterion_1_verdi_certification():
 
 def test_criterion_2_first_curve_example():
     with criterion(2, "first-curve-example"):
-        spec = fixtures.first_curve_spec()
+        spec = examples.spec("example-curve-1")
         assert validate(spec).ok
         assert projdim(spec) == 6
         inter = intersection_ideal(spec)
@@ -112,7 +113,7 @@ def test_criterion_2_first_curve_example():
 
 def test_criterion_3_second_curve_example():
     with criterion(3, "second-curve-example"):
-        spec = fixtures.second_curve_spec()
+        spec = examples.spec("example-curve-2")
         assert projdim(spec) == 5
         cert = synthesize(spec)
         assert cert.verified is True and cert.count == 5
@@ -131,10 +132,10 @@ def test_criterion_3_second_curve_example():
 
 def test_criterion_4_qprime_example():
     with criterion(4, "qprime-example"):
-        spec = fixtures.qprime_spec()
+        spec = examples.spec("example-qprime")
         assert projdim(spec) == 3
         assert cohom_dim(spec).value == 3
-        qp1, qp2, qp3 = fixtures.qprime_generators()
+        qp1, qp2, qp3 = examples.qprime_generators()
         assert verify_generator_list([qp1, qp2, qp3], spec)
         ring = spec.ring
         a, b, c, d, e, f, g = (ring.variable(v) for v in "abcdefg")
@@ -150,7 +151,7 @@ def test_criterion_4_qprime_example():
 def test_criterion_5_barile_shape():
     with criterion(5, "barile-shape"):
         for n in (1, 2, 3):
-            spec = fixtures.barile_spec(n)
+            spec = examples.barile_spec(n)
             assert validate(spec).ok
             assert projdim(spec) == n + 1
             assert cohom_dim(spec).value == n + 1
@@ -162,7 +163,7 @@ def test_criterion_6_eisenbud_evans_shape():
     with criterion(6, "eisenbud-evans-shape"):
         for r in (2, 3):
             for alpha in (0, 1, 2):
-                spec = fixtures.eisenbud_evans_spec(r, alpha)
+                spec = examples.eisenbud_evans_spec(r, alpha)
                 assert validate(spec).ok
                 assert projdim(spec) == spec.ring.arity - alpha - 1
 
@@ -182,7 +183,7 @@ def test_criterion_7_generic_scroll_numbers():
 def test_criterion_8_lattice_bridge():
     with criterion(8, "lattice-bridge"):
         ring = Ring(("x1", "x2", "x3", "x4"))
-        I = lattice_ideal(ring, fixtures.twisted_cubic_basis())
+        I = lattice_ideal(ring, examples.twisted_cubic_basis())
         block = var_block(ring, *ring.variables)
         minors = IdealHandle(ring, minors_2x2(block))
         assert I.groebner_basis() == minors.groebner_basis()
@@ -332,9 +333,9 @@ def _shuffle_listed_bases(spec, rng):
 def test_criterion_9c_tableau_permutation_robustness():
     with criterion(9, "property-9c-permutation-robustness"):
         rng = random.Random(2718)
-        for builder in (fixtures.coordinate_lines_spec, fixtures.fiber_shaped_spec,
-                        fixtures.second_curve_spec, fixtures.first_curve_spec):
-            spec = builder()
+        for name in ("example-coordinate-lines", "example-fiber-shape",
+                     "example-curve-2", "example-curve-1"):
+            spec = examples.spec(name)
             texts = set()
             for _ in range(3):
                 shuffled = _shuffle_listed_bases(spec, rng)
@@ -342,7 +343,7 @@ def test_criterion_9c_tableau_permutation_robustness():
                 assert cert.verified is True
                 assert cert.count == projdim(spec)
                 texts.add(tuple(str(g) for g in cert.generators))
-            if builder is fixtures.first_curve_spec:
+            if name == "example-curve-1":
                 assert len(texts) > 1  # the text moved, the verdict did not
 
 
@@ -351,7 +352,7 @@ def test_criterion_9c_misaligned_override_is_reported_not_hidden():
     # synthesized rows all vanish at a point outside the target variety
     from conftest import evaluate
 
-    spec = fixtures.second_curve_spec()
+    spec = examples.spec("example-curve-2")
     ring = spec.ring
     comps = list(spec.components)
     c4 = comps[3]
@@ -411,14 +412,14 @@ def test_criterion_9d_classification_replays():
 
 def test_criterion_10_negative_controls():
     with criterion(10, "negative-controls"):
-        spec = fixtures.qprime_spec()
-        gens = fixtures.qprime_generators()
+        spec = examples.spec("example-qprime")
+        gens = examples.qprime_generators()
         assert verify_generator_list(gens, spec)
         for i in range(3):
             dropped = gens[:i] + gens[i + 1:]
             assert not verify_generator_list(dropped, spec)
 
-        curve = fixtures.first_curve_spec()
+        curve = examples.spec("example-curve-1")
         ring = curve.ring
         comps = list(curve.components)
         c4 = comps[3]

@@ -257,6 +257,31 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+def test_an_input_given_two_ways_or_not_at_all_is_bad_arguments(tmp_path, capsys):
+    # each pair names one input two ways; given both, the command used to read
+    # one, drop the other without a word and exit 0
+    block = tmp_path / "block.json"
+    block.write_text(json.dumps({"ring": {"vars": ["x", "y", "z"]},
+                                 "blocks": [{"entries": ["x", "y", "z"]}]}))
+    spec = str(FIXTURES_DIR / "example-qprime.json")
+    gens = str(FIXTURES_DIR / "example-qprime-generators.json")
+    basis = str(FIXTURES_DIR / "example-twisted-cubic.json")
+    for argv in (
+        ["minors", str(block), "--block", "a,b"],
+        ["lattice", "--basis-file", basis, "--basis", "1,-1"],
+        ["verify", spec, "--gens-file", gens, "--gens", "a"],
+        ["arabound", str(tmp_path / "missing.json"), "--generic-columns", "3"],
+        ["minors"], ["lattice"], ["verify", spec], ["arabound"],
+    ):
+        code, doc = invoke(capsys, *argv)
+        assert code == 2 and doc["payload"] == {"message": "bad arguments"}, argv
+    code, doc = invoke(capsys, "minors", str(block))
+    assert code == 0 and doc["payload"] == {"minors": ["x*z - y^2"]}
+    # an empty --gens is the empty list, a well-formed negative
+    code, doc = invoke(capsys, "verify", spec, "--gens", "")
+    assert code == 1 and doc["payload"] == {"verified": False}
+
+
 def test_wrongly_shaped_files_name_the_file_and_the_field(tmp_path, capsys):
     spec = str(FIXTURES_DIR / "example-curve-1.json")
     matrix_file = str(FIXTURES_DIR / "example-twisted-cubic.json")  # a list of lists

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from scrollstci import fixtures, linjoin, oracle
+from scrollstci import linjoin, oracle
 from scrollstci.linjoin import (
     SpecValidationError,
     TwoLinearSpec,
@@ -22,6 +22,7 @@ from scrollstci.linjoin import (
 )
 from scrollstci.oracle import IdealHandle, intersect_many
 
+import worked_examples as examples
 from test_spec_outputs import RECORDED
 
 # validated pinned specs on which the product presentation is not the
@@ -95,7 +96,7 @@ def test_fold_matches_elimination_on_every_pinned_spec(steps, routes):
             exact.add(name)
         # generated specs and the fixtures are what the CLI sees: every step
         # certified, and by the leading-term bounds alone
-        if name.startswith("generated-") or name in fixtures.SPEC_FIXTURES:
+        if name.startswith("generated-") or name in examples.SPECS:
             assert validate(spec).ok and steps == [True] * (spec.l - 1), (name, field)
             assert [r for _, r in routes] == ["bounds"] * (spec.l - 1), (name, field)
     assert differ == []
@@ -148,11 +149,11 @@ def _fold_with(monkeypatch, change):
         return change(spec, gens) if k == 2 else gens
 
     monkeypatch.setattr(linjoin, "_presentation", changed)
-    return intersection_ideal(fixtures.second_curve_spec())
+    return intersection_ideal(examples.spec("example-curve-2"))
 
 
 def test_a_candidate_too_large_fails_containment_and_the_fold_eliminates(monkeypatch, steps):
-    spec = fixtures.second_curve_spec()
+    spec = examples.spec("example-curve-2")
     extra = spec.ring.variable("w")
     assert not component_ideal(spec, 1).contains(extra)
     got = _fold_with(monkeypatch, lambda spec, gens: gens + [extra])
@@ -162,7 +163,7 @@ def test_a_candidate_too_large_fails_containment_and_the_fold_eliminates(monkeyp
 
 def test_a_candidate_too_small_fails_the_hilbert_series_and_the_fold_eliminates(monkeypatch,
                                                                                steps):
-    spec = fixtures.second_curve_spec()
+    spec = examples.spec("example-curve-2")
     A, B = component_ideal(spec, 1), component_ideal(spec, 2)
     short = linjoin._presentation(spec, 2)[:-1]
     # containment holds, so the Hilbert series is what refuses the candidate

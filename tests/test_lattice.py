@@ -6,7 +6,6 @@ from itertools import product as iter_product
 
 import pytest
 
-from scrollstci import fixtures
 from scrollstci.lattice import (
     LatticeBasis,
     LatticeError,
@@ -18,6 +17,8 @@ from scrollstci.lattice import (
 from scrollstci.oracle import IdealHandle, ideal_member, radical_equal
 from scrollstci.poly import QQ, Fp, Ring, parse
 from scrollstci.scroll import ScrollBlock, minors_2x2, verdi_generators
+
+import worked_examples as examples
 
 R2 = Ring(("x1", "x2"))
 R4 = Ring(("x1", "x2", "x3", "x4"))
@@ -61,7 +62,7 @@ def test_even_differences_lattice_saturation_is_trivial():
 
 
 def test_twisted_cubic_lattice_matches_scroll_minors():
-    basis = fixtures.twisted_cubic_basis()
+    basis = examples.twisted_cubic_basis()
     I = lattice_ideal(R4, basis)
     block = ScrollBlock(tuple(R4.variable(v) for v in R4.variables))
     minors = IdealHandle(R4, minors_2x2(block))
@@ -79,7 +80,7 @@ def combinations(basis, bound=2):
 
 
 def test_combination_binomials_are_members():
-    basis = fixtures.twisted_cubic_basis()
+    basis = examples.twisted_cubic_basis()
     I = lattice_ideal(R4, basis)
     for w in combinations(basis):
         assert ideal_member(binomial(R4, w), I)
@@ -106,7 +107,7 @@ def rnc_basis(r):
 def test_nonnegative_vector_examples():
     u = nonnegative_vector(lattice_ideal(R2, LatticeBasis(((1, 0), (0, 1)))))
     assert u is not None and any(u) and min(u) >= 0
-    assert nonnegative_vector(lattice_ideal(R4, fixtures.twisted_cubic_basis())) is None
+    assert nonnegative_vector(lattice_ideal(R4, examples.twisted_cubic_basis())) is None
     for r in (5, 6, 7):
         ring = Ring(tuple(f"x{i}" for i in range(1, r + 1)))
         assert nonnegative_vector(lattice_ideal(ring, rnc_basis(r))) is None
@@ -183,13 +184,13 @@ def test_basis_validation():
 # --- fiber shape -----------------------------------------------------------------
 
 def test_fiber_shape_accepts_constructed_fixture():
-    assert fiber_spec_check(fixtures.fiber_shaped_spec())
+    assert fiber_spec_check(examples.spec("example-fiber-shape"))
 
 
 def test_fiber_shape_rejects_non_variable_entries():
     # the scroll entry x - u is not a plain variable
-    assert not fiber_spec_check(fixtures.second_curve_spec())
+    assert not fiber_spec_check(examples.spec("example-curve-2"))
 
 
 def test_fiber_shape_rejects_two_block_scrolls():
-    assert not fiber_spec_check(fixtures.qprime_spec())
+    assert not fiber_spec_check(examples.spec("example-qprime"))

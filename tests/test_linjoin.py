@@ -1,10 +1,11 @@
 """Linearly joined specifications: validation, ideals, numerical invariants."""
 
+import json
 import random
 
 import pytest
 
-from scrollstci import fixtures, linjoin, oracle
+from scrollstci import linjoin, oracle
 from scrollstci.cli import run
 from scrollstci.linjoin import (
     ComponentSpec,
@@ -22,28 +23,29 @@ from scrollstci.oracle import IdealHandle, ideal_member, intersect
 from scrollstci.poly import QQ, Fp, Ring, linear_form, linear_span_dim, parse
 from scrollstci.scroll import ScrollBlock, ScrollMatrix
 
+import worked_examples as examples
 from conftest import FIXTURES_DIR
 
 
 @pytest.fixture(scope="module")
 def curve1():
-    return fixtures.first_curve_spec()
+    return examples.spec("example-curve-1")
 
 
 @pytest.fixture(scope="module")
 def curve2():
-    return fixtures.second_curve_spec()
+    return examples.spec("example-curve-2")
 
 
 @pytest.fixture(scope="module")
 def qprime():
-    return fixtures.qprime_spec()
+    return examples.spec("example-qprime")
 
 
 # --- validation ---------------------------------------------------------------
 
 def test_two_coordinate_lines_pass():
-    report = validate(fixtures.coordinate_lines_spec())
+    report = validate(examples.spec("example-coordinate-lines"))
     assert report.ok
     assert report.conditions["d"] and report.conditions["e"] and report.conditions["f"]
 
@@ -59,13 +61,21 @@ def test_nonempty_p1_fails():
     assert any(f.condition == "structure" and f.indices == (1,) for f in report.failures)
 
 
-@pytest.mark.parametrize("name", [
-    "first_curve_spec", "second_curve_spec", "qprime_spec",
-    "square_block_spec", "two_rows_spec", "coordinate_lines_spec",
-    "fiber_shaped_spec",
-])
+# shipped specs outside the two families, keyed by the ids their tests run under
+NAMED_EXAMPLES = {
+    "first_curve_spec": "example-curve-1",
+    "second_curve_spec": "example-curve-2",
+    "qprime_spec": "example-qprime",
+    "square_block_spec": "example-square-block",
+    "two_rows_spec": "example-two-rows",
+    "coordinate_lines_spec": "example-coordinate-lines",
+    "fiber_shaped_spec": "example-fiber-shape",
+}
+
+
+@pytest.mark.parametrize("name", NAMED_EXAMPLES)
 def test_fixture_specs_validate(name):
-    spec = getattr(fixtures, name)()
+    spec = examples.spec(NAMED_EXAMPLES[name])
     report = validate(spec)
     assert report.ok, [f.message for f in report.failures]
 
@@ -91,7 +101,7 @@ def test_ara_hypothesis_flags(curve1, qprime):
     hyp = validate(qprime).ara_hypotheses
     assert not hyp.single_block          # two generic blocks
     assert hyp.upper_bound_ok            # rows inside the P spans
-    square = validate(fixtures.square_block_spec()).ara_hypotheses
+    square = validate(examples.spec("example-square-block")).ara_hypotheses
     assert square.single_block and not square.rows_in_p
 
 
@@ -252,18 +262,14 @@ def test_qprime_component_two(qprime):
 
 
 def test_full_ideal_two_lines():
-    spec = fixtures.coordinate_lines_spec()
+    spec = examples.spec("example-coordinate-lines")
     handle = full_ideal(spec)
     assert [str(g) for g in handle.generators] == ["x*y"]
 
 
-@pytest.mark.parametrize("builder", [
-    "first_curve_spec", "second_curve_spec", "qprime_spec",
-    "square_block_spec", "two_rows_spec", "fiber_shaped_spec",
-    "coordinate_lines_spec",
-])
-def test_full_ideal_groebner_equal_to_intersection(builder):
-    spec = getattr(fixtures, builder)()
+@pytest.mark.parametrize("name", NAMED_EXAMPLES)
+def test_full_ideal_groebner_equal_to_intersection(name):
+    spec = examples.spec(NAMED_EXAMPLES[name])
     handle = full_ideal(spec, check=False)
     inter = intersection_ideal(spec)
     assert handle.groebner_basis() == inter.groebner_basis()
@@ -306,7 +312,7 @@ def test_full_ideal_rejects_invalid_spec():
 # --- projdim / cd / ara bound ------------------------------------------------------
 
 def test_projdim_two_lines():
-    assert projdim(fixtures.coordinate_lines_spec()) == 1
+    assert projdim(examples.spec("example-coordinate-lines")) == 1
 
 
 def test_projdim_fixture_values(curve1, curve2, qprime):
@@ -352,12 +358,12 @@ def test_projdim_l2_no_scroll_formula():
 def test_cohom_dim_values(curve2, qprime):
     assert cohom_dim(qprime).value == 3
     assert cohom_dim(curve2).value == 5
-    assert cohom_dim(fixtures.coordinate_lines_spec()).value == 1
+    assert cohom_dim(examples.spec("example-coordinate-lines")).value == 1
     assert "local cohomology" in cohom_dim(qprime).note
 
 
 def test_cohom_dim_refuses_unknown_stci():
-    spec = fixtures.eisenbud_evans_spec(r=3, alpha=1)
+    spec = examples.eisenbud_evans_spec(r=3, alpha=1)
     with pytest.raises(SpecValidationError) as err:
         cohom_dim(spec)
     assert "component 1" in str(err.value)
@@ -395,19 +401,19 @@ def test_cohom_dim_scroll_shapes(blocks, known):
 def test_ara_upper_bound_values(curve1, qprime):
     assert ara_upper_bound(qprime) == 4          # projdim 3 + (1 - 0)
     assert ara_upper_bound(curve1) == 6          # single block contributes 0
-    assert ara_upper_bound(fixtures.two_rows_spec()) == 4
+    assert ara_upper_bound(examples.spec("example-two-rows")) == 4
 
 
 def test_ara_upper_bound_refuses_missing_rows():
     with pytest.raises(SpecValidationError):
-        ara_upper_bound(fixtures.square_block_spec())
+        ara_upper_bound(examples.spec("example-square-block"))
 
 
 # --- families ------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_barile_family(n):
-    spec = fixtures.barile_spec(n)
+    spec = examples.barile_spec(n)
     assert validate(spec).ok
     assert projdim(spec) == n + 1
     assert cohom_dim(spec).value == n + 1
@@ -416,7 +422,7 @@ def test_barile_family(n):
 @pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize("alpha", [0, 1, 2])
 def test_eisenbud_evans_family(r, alpha):
-    spec = fixtures.eisenbud_evans_spec(r, alpha)
+    spec = examples.eisenbud_evans_spec(r, alpha)
     assert validate(spec).ok
     assert projdim(spec) == spec.ring.arity - alpha - 1
 
@@ -429,10 +435,21 @@ def test_spec_json_round_trip(curve2):
     assert again == curve2
 
 
-def test_fixture_files_match_builders(tmp_path):
-    # every shipped file is exactly what fixtures.write_all writes, and no more
-    written = {p.name: p.read_text() for p in fixtures.write_all(tmp_path)}
+def test_fixture_files_round_trip():
+    # the shipped files are the only copy of the worked examples: each reads
+    # back to exactly its own text, and no file is missing or extra
     shipped = {p.name: p.read_text() for p in FIXTURES_DIR.glob("*.json")}
-    assert sorted(written) == sorted(shipped)
-    for name, text in written.items():
-        assert shipped[name] == text, name
+    assert sorted(shipped) == sorted(
+        [f"{name}.json" for name in examples.SPECS]
+        + ["example-qprime-generators.json", "example-twisted-cubic.json"])
+    assert len(shipped) == 11
+    for name in examples.SPECS:
+        text = json.dumps(examples.spec(name).to_json(), indent=2) + "\n"
+        assert shipped[f"{name}.json"] == text, name
+    gens = [str(g) for g in examples.qprime_generators()]
+    assert shipped["example-qprime-generators.json"] == json.dumps(gens, indent=2) + "\n"
+    basis = [list(v) for v in examples.twisted_cubic_basis().vectors]
+    assert shipped["example-twisted-cubic.json"] == json.dumps(basis) + "\n"
+    # one member of each family is shipped
+    assert examples.barile_spec(2) == examples.spec("example-barile")
+    assert examples.eisenbud_evans_spec(2, 1) == examples.spec("example-eisenbud-evans")

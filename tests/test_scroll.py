@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from scrollstci import fixtures
 from scrollstci.linjoin import ComponentSpec, TwoLinearSpec, validate
 from scrollstci.oracle import IdealHandle, ideal_member, radical_equal
 from scrollstci.poly import Ring, ScrollstciError, linear_span_dim, parse
@@ -21,6 +20,8 @@ from scrollstci.scroll import (
     scroll_ara_facts,
     verdi_generators,
 )
+
+import worked_examples as examples
 
 
 def var_block(ring, *names):
@@ -400,7 +401,7 @@ def _pinned_specs():
     recorded = json.loads((Path(__file__).resolve().parent / "spec_outputs.json").read_text())
     specs = [TwoLinearSpec.from_json(c["spec"])
              for kind in ("validate", "synthesize") for c in recorded[kind]]
-    specs += [builder() for builder in fixtures.SPEC_FIXTURES.values()]
+    specs += [examples.spec(name) for name in examples.SPECS]
     return specs + [TwoLinearSpec(spec.ring, tuple(
         ComponentSpec(scroll=comp.scroll, delta=other.delta, p_forms=other.p_forms)
         for comp, other in zip(spec.components, reversed(spec.components))))

@@ -48,11 +48,11 @@ def _with_tildes(spec, tilde_delta=None, tilde_p=None):
 
 def _cases():
     """(validate cases, synthesize cases): lists of (name, spec)."""
-    from scrollstci import fixtures
+    import worked_examples as examples
     from test_acceptance import _random_valid_spec, _shuffle_listed_bases
     from test_linjoin import _random_spec
 
-    fixture_specs = [(name, builder()) for name, builder in fixtures.SPEC_FIXTURES.items()]
+    fixture_specs = [(name, examples.spec(name)) for name in examples.SPECS]
     rng = random.Random(20261018)
     validate_cases = [(f"random-{n}", _random_spec(rng)) for n in range(220)] + fixture_specs
 
@@ -60,11 +60,13 @@ def _cases():
     rng = random.Random(31415)
     synth_cases += [(f"generated-{n}", _random_valid_spec(rng)) for n in range(25)]
     rng = random.Random(2718)
-    for builder in (fixtures.coordinate_lines_spec, fixtures.fiber_shaped_spec,
-                    fixtures.second_curve_spec, fixtures.first_curve_spec):
-        synth_cases += [(f"shuffled-{builder.__name__}-{n}", _shuffle_listed_bases(builder(), rng))
+    for label, name in (("coordinate_lines_spec", "example-coordinate-lines"),
+                        ("fiber_shaped_spec", "example-fiber-shape"),
+                        ("second_curve_spec", "example-curve-2"),
+                        ("first_curve_spec", "example-curve-1")):
+        synth_cases += [(f"shuffled-{label}-{n}", _shuffle_listed_bases(examples.spec(name), rng))
                         for n in range(3)]
-    curve1, curve2 = fixtures.first_curve_spec(), fixtures.second_curve_spec()
+    curve1, curve2 = examples.spec("example-curve-1"), examples.spec("example-curve-2")
     overrides = [
         ("curve2-misaligned-p4", curve2, None, {4: ("y - u", "a", "x")}),
         ("curve2-p3-drops-corner", curve2, None, {3: ("z - u",)}),

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from scrollstci import fixtures
 from scrollstci.linjoin import ComponentSpec, TwoLinearSpec, intersection_ideal, projdim
 from scrollstci.oracle import IdealHandle, ideal_member, radical_member
 from scrollstci.poly import LinearSpan, Ring, linear_span_dim, parse
@@ -17,6 +16,8 @@ from scrollstci.synth import (
     verify_generator_list,
 )
 
+import worked_examples as examples
+
 
 def spans_equal(ring, forms_a, forms_b):
     a, b = list(forms_a), list(forms_b)
@@ -26,18 +27,18 @@ def spans_equal(ring, forms_a, forms_b):
 
 @pytest.fixture(scope="module")
 def curve1():
-    return fixtures.first_curve_spec()
+    return examples.spec("example-curve-1")
 
 
 @pytest.fixture(scope="module")
 def curve2():
-    return fixtures.second_curve_spec()
+    return examples.spec("example-curve-2")
 
 
 # --- tilde decomposition ----------------------------------------------------------
 
 def test_no_scroll_means_identity_decomposition():
-    spec = fixtures.coordinate_lines_spec()
+    spec = examples.spec("example-coordinate-lines")
     tilde = tilde_decompose(spec)
     assert tilde.tilde_p[1] == spec.p(2)
     assert tilde.tilde_delta[1] == spec.delta(2)
@@ -98,7 +99,7 @@ def test_tilde_delta_corner_from_row_two():
 
 
 def test_tilde_refuses_missing_row():
-    spec = fixtures.square_block_spec()
+    spec = examples.spec("example-square-block")
     with pytest.raises(SynthesisError):
         tilde_decompose(spec)
 
@@ -106,7 +107,7 @@ def test_tilde_refuses_missing_row():
 # --- tableau rows -------------------------------------------------------------------
 
 def test_two_lines_single_row():
-    tilde = tilde_decompose(fixtures.coordinate_lines_spec())
+    tilde = tilde_decompose(examples.spec("example-coordinate-lines"))
     rows = tableau_generators(tilde)
     ring = tilde.spec.ring
     assert rows == [parse(ring, "x*y")]
@@ -146,7 +147,7 @@ def test_rows_are_quadratic(curve1, curve2):
 # --- synthesize -------------------------------------------------------------------------
 
 def test_synthesize_two_lines():
-    cert = synthesize(fixtures.coordinate_lines_spec())
+    cert = synthesize(examples.spec("example-coordinate-lines"))
     assert cert.count == cert.projdim == 1
     assert cert.verified is True
     assert [str(g) for g in cert.generators] == ["x*y"]
@@ -177,7 +178,7 @@ def test_every_synthesized_generator_is_a_plain_member(curve2):
 
 def test_synthesize_refuses_multi_block():
     with pytest.raises(SynthesisError) as err:
-        synthesize(fixtures.qprime_spec())
+        synthesize(examples.spec("example-qprime"))
     assert "verify_generator_list" in str(err.value)
 
 
@@ -195,7 +196,7 @@ def test_certificate_json(curve2):
 
 
 def test_fiber_shape_synthesis():
-    spec = fixtures.fiber_shaped_spec()
+    spec = examples.spec("example-fiber-shape")
     cert = synthesize(spec)
     assert cert.verified is True
     assert cert.count <= cert.projdim
@@ -243,7 +244,7 @@ def test_misaligned_override_reports_false_verdict(curve2):
 
 
 def test_override_validation():
-    spec = fixtures.second_curve_spec()
+    spec = examples.spec("example-curve-2")
     ring = spec.ring
     # dropping the corner x from tildeP_3 must be rejected
     bad = _with_tilde_p_order(spec, {3: (parse(ring, "z - u"),)})
@@ -269,34 +270,36 @@ def test_corner_chain_radical_facts():
 # --- hand-supplied lists ----------------------------------------------------------------------
 
 def test_qprime_list_verifies():
-    spec = fixtures.qprime_spec()
-    assert verify_generator_list(fixtures.qprime_generators(), spec)
+    spec = examples.spec("example-qprime")
+    assert verify_generator_list(examples.qprime_generators(), spec)
 
 
 def test_qprime_exact_identities():
-    ring = fixtures.QPRIME_RING
+    qp1, qp2, qp3 = examples.qprime_generators()
+    ring = qp1.ring
     a, b, c, d, e, f, g = (ring.variable(v) for v in "abcdefg")
     F = a * d - b * c
     q1 = a * F + b * e
-    qp1, qp2, qp3 = fixtures.qprime_generators()
     assert (d * qp1 - b * qp3 - q1 * q1).is_zero()
     assert (d * q1 - b * qp2 - (F * F - b * f * g)).is_zero()
 
 
 def test_dropping_any_qprime_generator_fails():
-    spec = fixtures.qprime_spec()
-    gens = fixtures.qprime_generators()
+    spec = examples.spec("example-qprime")
+    gens = examples.qprime_generators()
     for i in range(3):
         assert not verify_generator_list(gens[:i] + gens[i + 1:], spec)
 
 
 def test_square_block_list_verifies():
-    spec = fixtures.square_block_spec()
-    assert verify_generator_list(fixtures.square_block_generators(), spec)
+    spec = examples.spec("example-square-block")
+    gens = [parse(spec.ring, t) for t in
+            ("(c - f)*(d + c - f) - (d - f)^2", "b*c", "a*c + b*d", "a*d + b*e")]
+    assert verify_generator_list(gens, spec)
 
 
 def test_verify_ring_mismatch():
-    spec = fixtures.qprime_spec()
+    spec = examples.spec("example-qprime")
     other = Ring(("x", "y"))
     with pytest.raises(Exception):
         verify_generator_list([other.variable("x")], spec)
