@@ -23,11 +23,9 @@ from .oracle import (
     OracleTimeout,
     RadicalCertificate,
     eliminate,
-    groebner_basis,
     ideal_member,
     intersect,
     intersect_many,
-    normal_form,
     radical_equal,
     radical_member,
     saturate,

@@ -230,7 +230,7 @@ def _cmd_ideal(args) -> CommandResult:
     if args.component is not None:
         handle = linjoin.component_ideal(spec, args.component)
     else:
-        handle = linjoin.full_ideal(spec, check=not args.no_check)
+        handle = linjoin.full_ideal(spec)
     return CommandResult("ok", handle.to_json())
 
 
@@ -372,8 +372,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ideal", help="full or component ideal of a spec")
     p.add_argument("spec")
     p.add_argument("--component", type=int)
-    p.add_argument("--no-check", action="store_true",
-                   help="skip the intersection equality certification")
     p.set_defaults(handler=_cmd_ideal)
 
     p = sub.add_parser("arabound", help="arithmetical-rank upper bound")

@@ -256,7 +256,6 @@ def _scroll_has_minors(scroll: ScrollMatrix | None) -> bool:
 def validate(spec: TwoLinearSpec) -> ValidationReport:
     """Check the linearly-joined conditions; failures are reported, not thrown."""
     failures: list[ValidationFailure] = []
-    conditions: dict = {}
 
     def fail(condition, indices, witness, message):
         failures.append(ValidationFailure(condition, tuple(indices), witness, message))
@@ -292,8 +291,6 @@ def validate(spec: TwoLinearSpec) -> ValidationReport:
     for i in range(1, spec.l + 1):
         if dim(spec.q_space(i)) != dim(spec.d_space(i)) + dim(spec.p(i)):
             fail("direct_sum", (i,), None, f"D_{i} and P_{i} overlap")
-    conditions["structure"] = not any(f.condition == "structure" for f in failures)
-    conditions["direct_sum"] = not any(f.condition == "direct_sum" for f in failures)
 
     # (d) and (e): the minors of B_i inside (Delta_i), i >= 2, and inside
     # (P_j), i < j; their residuals also give the first row of B_i inside each span
@@ -310,21 +307,16 @@ def validate(spec: TwoLinearSpec) -> ValidationReport:
         if witness is not None:
             fail(condition, indices, str(witness),
                  f"minors of component {indices[0]} are not inside ({name})")
-    for condition in ("d", "e"):
-        conditions[condition] = not any(f.condition == condition for f in failures)
 
     # (f) by prime avoidance: some Q_j inside span(P_k, D_{k-1}), else the
     # product of one form off the span from each Q_j is a witness
-    ok_f = True
     for k in range(2, spec.l + 1):
         target = spec.span(spec.p(k) + spec.d_space(k - 1))
         off = [next((g for g in spec.q_space(j) if not target.contains(g)), None)
                for j in range(1, k)]
         if all(g is not None for g in off):
-            ok_f = False
             fail("f", (k,), str(math.prod(dict.fromkeys(off))),
                  f"intersection of (Q_1)..(Q_{k-1}) is not inside (P_{k}, D_{k-1})")
-    conditions["f"] = ok_f
 
     # hypothesis flags for the synthesis theorems; rows are tried 1 then 2
     hyp = AraHypotheses()
@@ -348,8 +340,9 @@ def validate(spec: TwoLinearSpec) -> ValidationReport:
                 hyp.rows_in_p = False
                 hyp.failures.append(f"component {i}: no scroll row inside (P_{j})")
 
-    ok = not failures
-    return ValidationReport(ok=ok, conditions=conditions, failures=failures,
+    conditions = {c: not any(f.condition == c for f in failures)
+                  for c in ("structure", "direct_sum", "d", "e", "f")}
+    return ValidationReport(ok=not failures, conditions=conditions, failures=failures,
                             ara_hypotheses=hyp)
 
 
@@ -425,23 +418,22 @@ def _presentation(spec: TwoLinearSpec, k: int) -> list[Polynomial]:
     return gens + product_generators(spec, k)
 
 
-def full_ideal(spec: TwoLinearSpec, check: bool = True) -> IdealHandle:
-    """All scroll minors plus the Delta x P products.
+def full_ideal(spec: TwoLinearSpec) -> IdealHandle:
+    """All scroll minors plus the Delta x P products, certified equal to the
+    intersection of the component ideals; a mismatch raises.
 
-    When ``check`` is set the result is certified equal to the intersection
-    of the component ideals; a mismatch raises.  The fold of
-    :func:`intersection_ideal` certifies this very presentation on its last
-    step, and then its handle, basis cached, is the result.
+    The spec is validated first.  The fold of :func:`intersection_ideal`
+    certifies this very presentation on its last step, and then its handle,
+    basis cached, is the result.
     """
     require_valid(spec)
     handle = IdealHandle(spec.ring, _presentation(spec, spec.l))
-    if check:
-        inter = intersection_ideal(spec)
-        if inter.generators == handle.generators:
-            return inter
-        if handle.groebner_basis() != inter.groebner_basis():
-            raise SpecValidationError(
-                "generated ideal differs from the intersection of the components")
+    inter = intersection_ideal(spec)
+    if inter.generators == handle.generators:
+        return inter
+    if handle.groebner_basis() != inter.groebner_basis():
+        raise SpecValidationError(
+            "generated ideal differs from the intersection of the components")
     return handle
 
 

@@ -543,14 +543,6 @@ class RadicalCertificate:
         }
 
 
-def groebner_basis(I: IdealHandle, order: TermOrder = DEGREVLEX) -> list[Polynomial]:
-    return list(I.groebner_basis(order))
-
-
-def normal_form(f: Polynomial, I: IdealHandle, order: TermOrder = DEGREVLEX) -> Polynomial:
-    return I.normal_form(f, order)
-
-
 def ideal_member(f: Polynomial, I: IdealHandle) -> bool:
     if f.ring != I.ring:
         raise RingMismatchError("polynomial lives in a different ring")
@@ -813,8 +805,8 @@ def certify_intersection(C: IdealHandle, A: IdealHandle, B: IdealHandle) -> bool
     and H_C >= H_{A∩B} = H_A + H_B - H_{A+B}, by the exact sequence
     0 -> S/(A ∩ B) -> S/A (+) S/B -> S/(A + B) -> 0.  A monomial ideal M
     inside LT(I) gives H_I <= H_M.  Two such bounds cost no Buchberger run:
-    M_C, the degrevlex leading monomials of C's generators (or of C's cached
-    basis), and M_AB = LT(A) + LT(B), read off the cached bases of A and B.
+    M_C, the degrevlex leading monomials of C's generators, and
+    M_AB = LT(A) + LT(B), read off the cached bases of A and B.
     If N(M_C) + N(M_AB) = N(A) + N(B), then
     H_C <= H_{M_C} = H_A + H_B - H_{M_AB} <= H_{A∩B} <= H_C, so every step is
     an equality: C = A ∩ B, and LT(C) = M_C, so C's generators are a Groebner
@@ -835,22 +827,19 @@ def certify_intersection(C: IdealHandle, A: IdealHandle, B: IdealHandle) -> bool
         return False
 
     target = _numerator_sum(A.hilbert_numerator(), B.hilbert_numerator())
-    known = C._numerator is not None or DEGREVLEX in C._packed
-    c = C.hilbert_numerator() if known else _hilbert_numerator(
-        g.leading_monomial() for g in C.generators)
+    c = _hilbert_numerator(g.leading_monomial() for g in C.generators)
     lt_ab = []
     for I in (A, B):
         pk, reducers = I._packed_basis(DEGREVLEX)
         lt_ab += [pk.decode(lm) for lm, _ in reducers]
     if _numerator_sum(c, _hilbert_numerator(lt_ab)) == target:
-        if not known:
-            field, gens = C.ring.field, [g._terms for g in C.generators]
-            C._remember(DEGREVLEX, *_packed(
-                _packing(C.ring.arity, DEGREVLEX, 8), gens,
-                lambda q: [p for _, p in _interreduce(
-                    [(max(p, key=q.key), p) for p in map(q.pack, gens)], q, field)]))
-            if C._numerator is None:  # written once, like the basis cache
-                C._numerator = c
+        field, gens = C.ring.field, [g._terms for g in C.generators]
+        C._remember(DEGREVLEX, *_packed(
+            _packing(C.ring.arity, DEGREVLEX, 8), gens,
+            lambda q: [p for _, p in _interreduce(
+                [(max(p, key=q.key), p) for p in map(q.pack, gens)], q, field)]))
+        if C._numerator is None:  # written once, like the basis cache
+            C._numerator = c
         return True
     ab = _extend(A, list(B.groebner_basis()))
     return _numerator_sum(C.hilbert_numerator(), ab.hilbert_numerator()) == target

@@ -471,9 +471,6 @@ class Polynomial:
             raise ScrollstciError("zero polynomial has no leading monomial")
         return max(self._terms, key=order.key())
 
-    def leading_coefficient(self, order: TermOrder = DEGREVLEX):
-        return self._terms[self.leading_monomial(order)]
-
     # --- arithmetic ----------------------------------------------------------
 
     def _check_ring(self, other: "Polynomial") -> None:
@@ -611,7 +608,7 @@ def transport(p: Polynomial, target: Ring) -> Polynomial:
 
 # --- printing and parsing ------------------------------------------------------
 
-def format_poly(p: Polynomial, order: TermOrder = DEGLEX) -> str:
+def format_poly(p: Polynomial) -> str:
     """Canonical string: terms descending in a graded lexicographic order.
 
     Round-trips bit-exactly through :func:`parse`.
@@ -620,9 +617,8 @@ def format_poly(p: Polynomial, order: TermOrder = DEGLEX) -> str:
         return "0"
     field = p.ring.field
     names = p.ring.variables
-    keyf = order.key()
     parts: list[str] = []
-    for mono in sorted(p._terms, key=keyf, reverse=True):
+    for mono in sorted(p._terms, key=DEGLEX.key(), reverse=True):
         coeff = p._terms[mono]
         neg = field.is_negative(coeff)
         mag = field.neg(coeff) if neg else coeff

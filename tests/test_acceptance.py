@@ -10,13 +10,13 @@ from contextlib import contextmanager
 
 import pytest
 
+from scrollstci import linjoin
 from scrollstci.lattice import lattice_ideal
 from scrollstci.linjoin import (
     ComponentSpec,
     TwoLinearSpec,
     ara_upper_bound,
     cohom_dim,
-    full_ideal,
     intersection_ideal,
     projdim,
     validate,
@@ -93,7 +93,7 @@ def test_criterion_2_first_curve_example():
         assert validate(spec).ok
         assert projdim(spec) == 6
         inter = intersection_ideal(spec)
-        full = full_ideal(spec, check=False)
+        full = IdealHandle(spec.ring, linjoin._presentation(spec, spec.l))
         assert full.groebner_basis() == inter.groebner_basis()
         cert = synthesize(spec)
         assert cert.count == 6

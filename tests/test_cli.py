@@ -157,6 +157,13 @@ def test_ideal_full_and_component(capsys):
     assert code == 0 and set(doc["payload"]["gens"]) == {"f", "b", "d"}
 
 
+def test_ideal_has_no_uncertified_mode(capsys):
+    # the full ideal is always certified against the intersection
+    spec = str(FIXTURES_DIR / "example-curve-1.json")
+    code, doc = invoke(capsys, "ideal", spec, "--no-check")
+    assert code == 2 and doc["payload"] == {"message": "bad arguments"}
+
+
 def test_projdim_and_cd(capsys):
     spec = str(FIXTURES_DIR / "example-qprime.json")
     code, doc = invoke(capsys, "projdim", spec)

@@ -24,11 +24,9 @@ from scrollstci.oracle import (
     _radical_chain,
     certify_intersection,
     eliminate,
-    groebner_basis,
     ideal_member,
     intersect,
     intersect_many,
-    normal_form,
     radical_equal,
     radical_member,
     saturate,
@@ -65,40 +63,40 @@ def ideal(ring, *texts):
 # --- groebner_basis -----------------------------------------------------------
 
 def test_linear_elimination():
-    gb = groebner_basis(ideal(R2, "x - y", "x + y"))
+    gb = ideal(R2, "x - y", "x + y").groebner_basis()
     assert set(gb) == {parse(R2, "x"), parse(R2, "y")}
 
 
 def test_monomial_ideal_already_reduced():
-    gb = groebner_basis(ideal(R2, "x^2", "x*y", "y^2"))
+    gb = ideal(R2, "x^2", "x*y", "y^2").groebner_basis()
     assert set(gb) == {parse(R2, "x^2"), parse(R2, "x*y"), parse(R2, "y^2")}
 
 
 def test_twisted_cubic_graph_lex():
     # the single S-pair reduces to zero, frozen by running Buchberger by hand
     ring = Ring(("z", "y", "x"))
-    gb = groebner_basis(ideal(ring, "y - x^2", "z - x^3"), LEX)
+    gb = ideal(ring, "y - x^2", "z - x^3").groebner_basis(LEX)
     assert set(gb) == {parse(ring, "y - x^2"), parse(ring, "z - x^3")}
 
 
 def test_empty_ideal():
-    assert groebner_basis(IdealHandle(R2, [])) == []
+    assert IdealHandle(R2, []).groebner_basis() == ()
 
 
 def test_unit_ideal():
-    gb = groebner_basis(ideal(R2, "x", "x + 1"))
-    assert gb == [R2.one()]
+    gb = ideal(R2, "x", "x + 1").groebner_basis()
+    assert gb == (R2.one(),)
 
 
 def test_basis_stable_under_permutation_and_recomputation():
     gens = ["x^2 - y", "x*y - 1", "y^2 - x"]
     rng = random.Random(3)
-    reference = tuple(groebner_basis(ideal(R2, *gens)))
+    reference = ideal(R2, *gens).groebner_basis()
     for _ in range(5):
         shuffled = gens[:]
         rng.shuffle(shuffled)
-        assert tuple(groebner_basis(ideal(R2, *shuffled))) == reference
-    assert tuple(groebner_basis(ideal(R2, *gens))) == reference
+        assert ideal(R2, *shuffled).groebner_basis() == reference
+    assert ideal(R2, *gens).groebner_basis() == reference
 
 
 def test_basis_is_reduced():
@@ -107,7 +105,7 @@ def test_basis_is_reduced():
     gb = I.groebner_basis()
     leads = [g.leading_monomial() for g in gb]
     for g in gb:
-        assert g.leading_coefficient() == 1
+        assert dict(g.items())[g.leading_monomial()] == 1
         others = [m for m in leads if m != g.leading_monomial()]
         for mono in g.monomials():
             assert not any(all(a <= b for a, b in zip(lead, mono)) for lead in others)
@@ -130,15 +128,15 @@ def test_spolys_reduce_to_zero():
 
 def test_normal_form_examples():
     I = ideal(R2, "x")
-    assert normal_form(parse(R2, "x^2"), I).is_zero()
-    assert normal_form(parse(R2, "x^2 + y"), I) == parse(R2, "y")
+    assert I.normal_form(parse(R2, "x^2")).is_zero()
+    assert I.normal_form(parse(R2, "x^2 + y")) == parse(R2, "y")
 
 
 def test_normal_form_idempotent():
     I = ideal(R3, "x^2 - y", "y*z - 1")
     f = parse(R3, "x^4*z + x*y + z^2")
-    nf = normal_form(f, I)
-    assert normal_form(nf, I) == nf
+    nf = I.normal_form(f)
+    assert I.normal_form(nf) == nf
 
 
 def test_generic_minor_membership():
@@ -161,7 +159,7 @@ def test_member_iff_normal_form_zero():
     for _ in range(40):
         f = sum((rng.randint(-2, 2) * R3.monomial(rng.choice(monos)) for _ in range(3)),
                 R3.zero())
-        assert ideal_member(f, I) == normal_form(f, I).is_zero()
+        assert ideal_member(f, I) == I.normal_form(f).is_zero()
 
 
 def test_ring_mismatch():
@@ -176,7 +174,7 @@ def test_radical_member_square():
     cert = radical_member(parse(R2, "x"), I)
     assert cert.member and cert.witness_k == 2
     # the witness is machine-checkable by normal form
-    assert normal_form(parse(R2, "x") ** cert.witness_k, I).is_zero()
+    assert I.normal_form(parse(R2, "x") ** cert.witness_k).is_zero()
 
 
 def test_radical_member_negative():
@@ -408,14 +406,17 @@ def test_hilbert_numerator_is_computed_once_per_handle(monkeypatch):
     A, B, C = ideal(R3, "x"), ideal(R3, "y", "z"), ideal(R3, "x*y", "x*z")
     assert C.hilbert_numerator() == C.hilbert_numerator() == (1, 0, -2, 1)
     assert len(calls) == 1
-    # C's numerator is reused; A, B and A + B are computed once each
-    assert certify_intersection(C, A, B)
-    assert len(calls) == 4
-    # a second certificate against the same A and B computes only A + B again
+    # A and B are computed once each; the bound for C is always read off its
+    # generators' leading terms, so C's cached numerator is not consulted,
+    # and the bound for A + B is read off the cached bases of A and B
     assert certify_intersection(C, A, B)
     assert len(calls) == 5
+    # a second certificate against the same A and B computes only the two bounds
+    assert certify_intersection(C, A, B)
+    assert len(calls) == 7
+    # C's own numerator is still the cached one
     assert not radical_equal(ideal(R3, "x"), C)
-    assert len(calls) == 6
+    assert len(calls) == 8
 
 
 def _dimension_by_supports(gens, arity):
@@ -467,6 +468,26 @@ def test_certify_intersection_proves_or_refuses():
     assert not certify_intersection(ideal(R2, "x*y - y"), ideal(R2, "x - 1"), ideal(R2, "y"))
     with pytest.raises(RingMismatchError):
         certify_intersection(ideal(R2, "x*y"), ideal(R3, "x"), ideal(R2, "y"))
+
+
+@pytest.mark.parametrize("c, b, holds", [
+    (("x*y", "x*z"), ("y", "z"), True),
+    (("x^2 + x*y", "x^2 + x*y + x*z"), ("x + y", "z"), True),  # not a Groebner basis
+    (("x*y",), ("y", "z"), False),  # too small
+])
+def test_certify_intersection_with_a_cached_candidate_basis(c, b, holds):
+    # the verdict does not depend on whether C's reduced basis (and its
+    # numerator) were computed before the certificate ran, and the certificate
+    # leaves that basis as it was
+    assert certify_intersection(ideal(R3, *c), ideal(R3, "x"), ideal(R3, *b)) is holds
+    C = ideal(R3, *c)
+    basis, numerator = C.groebner_basis(), C.hilbert_numerator()
+    assert certify_intersection(C, ideal(R3, "x"), ideal(R3, *b)) is holds
+    assert C.groebner_basis() == basis
+    assert C.hilbert_numerator() == numerator
+    # the packed reducers that normal forms use are the ones C computed itself
+    fresh = IdealHandle(R3, list(C.generators))
+    assert C._packed_basis(DEGREVLEX)[1] == fresh._packed_basis(DEGREVLEX)[1]
 
 
 # --- elimination ---------------------------------------------------------------------
