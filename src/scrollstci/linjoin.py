@@ -27,14 +27,17 @@ take one residual per scroll entry against the spec's span, and the row flags
 read the same residuals; the case analysis of ``classify_modulo`` is not run.
 
 The intersection J_1 ∩ ... ∩ J_l of the component ideals is certified, not
-computed, where the spec allows: ``intersection_ideal`` folds from J_1 and,
-at step k, proves the product-presentation candidate
+computed, where the spec allows.  One fold (``_fold``) builds it and the
+product presentation together, taking each scroll's minors once: it starts
+from J_1 and, at step k, proves the candidate
 I_k = minors(B_1..B_k) + sum_{j=2..k} Delta_j*P_j + D_k equal to the fold so
 far ∩ J_k by normal forms and Hilbert series
 (``oracle.certify_intersection``).  Elimination (``oracle.intersect``) takes
-over from the first step whose candidate is refused.  For a spec that passes
-``validate`` the candidates normally hold; ``validate`` accepts a few on
-which one does not, and ``full_ideal`` refuses those.
+over from the first step whose candidate is refused.  ``intersection_ideal``
+returns the fold's ideal; ``full_ideal`` validates, then compares it with the
+fold's presentation.  For a spec that passes ``validate`` the candidates
+normally hold; ``validate`` accepts a few on which one does not, and
+``full_ideal`` refuses those.
 
 ``projdim`` evaluates max_i dim(P_i + D_{i-1}) - 1 for i = 2..l, which equals
 the projective dimension of the quotient by the intersection when the spec
@@ -356,79 +359,69 @@ def require_valid(spec: TwoLinearSpec,
     return report
 
 
-def component_ideal(spec: TwoLinearSpec, i: int) -> IdealHandle:
-    """J_i = (minors of B_i) + D_i + P_i."""
+def _minors(spec: TwoLinearSpec, i: int) -> list[Polynomial]:
+    """The 2x2 minors of B_i; none for a null scroll or a single column."""
     from .scroll import minors_2x2
 
-    comp = spec.component(i)
-    gens: list[Polynomial] = []
-    if _scroll_has_minors(comp.scroll):
-        gens.extend(minors_2x2(comp.scroll))
-    gens.extend(spec.d_space(i))
-    gens.extend(spec.p(i))
-    return IdealHandle(spec.ring, gens)
+    scroll = spec.component(i).scroll
+    return minors_2x2(scroll) if _scroll_has_minors(scroll) else []
+
+
+def component_ideal(spec: TwoLinearSpec, i: int) -> IdealHandle:
+    """J_i = (minors of B_i) + D_i + P_i."""
+    return IdealHandle(spec.ring, _minors(spec, i) + list(spec.q_space(i)))
+
+
+def _fold(spec: TwoLinearSpec) -> tuple[IdealHandle, list[Polynomial]]:
+    """J_1 ∩ ... ∩ J_l, folded left to right from J_1, and the presentation
+    (the scroll minors, then the Delta_j x P_j products, j = 2..l); each
+    component's minors are taken once, for J_k and the presentation alike.
+
+    Step k tries the candidate I_k = minors(B_1..B_k) + sum_{j=2..k}
+    Delta_j*P_j + D_k and keeps it when ``oracle.certify_intersection``
+    proves it equal to the fold so far ∩ J_k.  On the specs the CLI sees,
+    the leading terms of I_k's generators and of the cached bases of the two
+    ideals give the proof, so no step runs Buchberger on I_k or on their
+    sum, and I_k keeps the interreduction of its generators as its basis.
+    Otherwise the step computes that intersection by elimination, and so do
+    the later steps, which try no candidate: on a spec the presentation does
+    not fit, each refused candidate is work thrown away.  When every step
+    holds, the result is I_l, whose generators are the presentation's, with
+    its degrevlex basis cached.
+    """
+    minors = _minors(spec, 1)
+    acc = IdealHandle(spec.ring, minors + list(spec.q_space(1)))
+    products: list[Polynomial] = []
+    certifying = True
+    for k in range(2, spec.l + 1):
+        minors_k = _minors(spec, k)
+        J_k = IdealHandle(spec.ring, minors_k + list(spec.q_space(k)))
+        minors += minors_k
+        products += [f * g for f in spec.delta(k) for g in spec.p(k)]
+        if certifying:
+            candidate = IdealHandle(spec.ring, minors + products + list(spec.d_space(k)))
+            certifying = oracle.certify_intersection(candidate, acc, J_k)
+        acc = candidate if certifying else oracle.intersect(acc, J_k)
+    return acc, minors + products
 
 
 def intersection_ideal(spec: TwoLinearSpec) -> IdealHandle:
-    """J_1 ∩ ... ∩ J_l, folded left to right from J_1.
-
-    Step k tries the candidate I_k = minors(B_1..B_k) + sum_{j=2..k}
-    Delta_j*P_j + D_k (``_presentation`` plus D_k) and keeps it when
-    ``oracle.certify_intersection`` proves it equal to the fold so far ∩ J_k.
-    On the specs the CLI sees, the leading terms of I_k's generators and of
-    the cached bases of the two ideals give the proof, so no step runs
-    Buchberger on I_k or on their sum, and I_k keeps the interreduction of
-    its generators as its basis.  Otherwise the step computes that
-    intersection by elimination, and so do the later steps, which try no
-    candidate: on a spec the presentation does not fit, each refused
-    candidate is work thrown away.  When every step holds, the result is
-    I_l, whose generators are ``full_ideal``'s, with its degrevlex basis
-    cached.
-    """
-    acc = component_ideal(spec, 1)
-    certifying = True
-    for k in range(2, spec.l + 1):
-        J_k = component_ideal(spec, k)
-        if certifying:
-            candidate = IdealHandle(spec.ring, _presentation(spec, k) + list(spec.d_space(k)))
-            certifying = oracle.certify_intersection(candidate, acc, J_k)
-        acc = candidate if certifying else oracle.intersect(acc, J_k)
-    return acc
-
-
-def product_generators(spec: TwoLinearSpec, k: int | None = None) -> list[Polynomial]:
-    """All products f*g with f in Delta_j, g in P_j, j = 2..k (default l)."""
-    out: list[Polynomial] = []
-    for j in range(2, (spec.l if k is None else k) + 1):
-        for f in spec.delta(j):
-            for g in spec.p(j):
-                out.append(f * g)
-    return out
-
-
-def _presentation(spec: TwoLinearSpec, k: int) -> list[Polynomial]:
-    """The scroll minors of components 1..k, then the Delta_j x P_j products, j = 2..k."""
-    from .scroll import minors_2x2
-
-    gens: list[Polynomial] = []
-    for i in range(1, k + 1):
-        scroll = spec.component(i).scroll
-        if _scroll_has_minors(scroll):
-            gens.extend(minors_2x2(scroll))
-    return gens + product_generators(spec, k)
+    """J_1 ∩ ... ∩ J_l, certified or eliminated step by step (see :func:`_fold`)."""
+    return _fold(spec)[0]
 
 
 def full_ideal(spec: TwoLinearSpec) -> IdealHandle:
     """All scroll minors plus the Delta x P products, certified equal to the
     intersection of the component ideals; a mismatch raises.
 
-    The spec is validated first.  The fold of :func:`intersection_ideal`
-    certifies this very presentation on its last step, and then its handle,
-    basis cached, is the result.
+    The spec is validated first.  One :func:`_fold` gives both the
+    intersection and the presentation; when its last step certifies the
+    presentation, the fold's handle, basis cached, is the result.
+    Otherwise the two are compared by their reduced bases.
     """
     require_valid(spec)
-    handle = IdealHandle(spec.ring, _presentation(spec, spec.l))
-    inter = intersection_ideal(spec)
+    inter, presentation = _fold(spec)
+    handle = IdealHandle(spec.ring, presentation)
     if inter.generators == handle.generators:
         return inter
     if handle.groebner_basis() != inter.groebner_basis():

@@ -73,15 +73,19 @@ def _check_deadline(deadline: float | None) -> None:
 
 
 def _is_prime(n: int) -> bool:
+    """Trial division by odd d up to sqrt(n), under the deadline."""
     if n < 2:
         return False
     if n % 2 == 0:
         return n == 2
+    deadline = _DEADLINE.get()
     d = 3
     while d * d <= n:
         if n % d == 0:
             return False
         d += 2
+        if (d & 0x1FFFF) == 1:  # once per 2^16 odd divisors
+            _check_deadline(deadline)
     return True
 
 

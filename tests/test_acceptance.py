@@ -10,7 +10,6 @@ from contextlib import contextmanager
 
 import pytest
 
-from scrollstci import linjoin
 from scrollstci.lattice import lattice_ideal
 from scrollstci.linjoin import (
     ComponentSpec,
@@ -93,7 +92,7 @@ def test_criterion_2_first_curve_example():
         assert validate(spec).ok
         assert projdim(spec) == 6
         inter = intersection_ideal(spec)
-        full = IdealHandle(spec.ring, linjoin._presentation(spec, spec.l))
+        full = IdealHandle(spec.ring, examples.presentation(spec))
         assert full.groebner_basis() == inter.groebner_basis()
         cert = synthesize(spec)
         assert cert.count == 6

@@ -519,6 +519,26 @@ def test_timeout_bounds_powering(capsys, tmp_path):
     assert code == 2 and doc["payload"]["message"] == "timed out"
 
 
+# a prime whose trial division runs for minutes; the deadline stops it
+LARGE_PRIME = 1000000000000000009
+
+
+def test_timeout_bounds_the_modulus_check(capsys, tmp_path):
+    spec = FIXTURES_DIR / "example-curve-1.json"
+    start = time.monotonic()
+    code, doc = invoke(capsys, "--timeout", "0.5", "--field", f"Fp={LARGE_PRIME}",
+                       "validate", str(spec))
+    assert time.monotonic() - start < 10
+    assert code == 2 and doc["payload"]["message"] == "timed out"
+    doc = json.loads(spec.read_text())
+    path = tmp_path / "large-prime.json"
+    path.write_text(json.dumps({**doc, "ring": {**doc["ring"], "field": {"Fp": LARGE_PRIME}}}))
+    start = time.monotonic()
+    code, doc = invoke(capsys, "--timeout", "0.5", "validate", str(path))
+    assert time.monotonic() - start < 10
+    assert code == 2 and doc["payload"]["message"] == "timed out"
+
+
 def test_timeout_env_var(capsys, tmp_path, monkeypatch):
     variables = [f"x{i}" for i in range(8)]
     gens = [f"x{i}^3 - x{(i + 1) % 8}*x{(i + 2) % 8} - 1" for i in range(8)]

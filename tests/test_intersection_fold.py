@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from scrollstci import linjoin, oracle
+from scrollstci import oracle
 from scrollstci.linjoin import (
     SpecValidationError,
     TwoLinearSpec,
@@ -135,21 +135,24 @@ def test_full_ideal_refuses_exactly_the_validated_specs_the_fold_refutes(steps):
             refused.append(case["name"])
         else:
             assert False not in steps
-            reference = IdealHandle(spec.ring, linjoin._presentation(spec, spec.l))
+            reference = IdealHandle(spec.ring, examples.presentation(spec))
             assert handle.generators == reference.generators
             assert handle._packed  # the certified handle comes back with its basis
     assert set(refused) == NOT_THE_INTERSECTION
 
 
 def _fold_with(monkeypatch, change):
-    """Run the fold on the second curve with ``change`` applied to step 2's candidate."""
-    presentation = linjoin._presentation
+    """Run the fold on the second curve with ``change`` applied to the
+    generators of step 2's candidate before ``certify_intersection`` sees it."""
+    certify, seen = oracle.certify_intersection, []
 
-    def changed(spec, k):
-        gens = presentation(spec, k)
-        return change(spec, gens) if k == 2 else gens
+    def changed(C, A, B):
+        seen.append(C)
+        if len(seen) == 1:  # step 2
+            C = IdealHandle(C.ring, change(list(C.generators)))
+        return certify(C, A, B)
 
-    monkeypatch.setattr(linjoin, "_presentation", changed)
+    monkeypatch.setattr(oracle, "certify_intersection", changed)
     return intersection_ideal(examples.spec("example-curve-2"))
 
 
@@ -157,7 +160,7 @@ def test_a_candidate_too_large_fails_containment_and_the_fold_eliminates(monkeyp
     spec = examples.spec("example-curve-2")
     extra = spec.ring.variable("w")
     assert not component_ideal(spec, 1).contains(extra)
-    got = _fold_with(monkeypatch, lambda spec, gens: gens + [extra])
+    got = _fold_with(monkeypatch, lambda gens: gens + [extra])
     assert steps == [False]
     assert got.groebner_basis() == _eliminated(spec).groebner_basis()
 
@@ -166,9 +169,9 @@ def test_a_candidate_too_small_fails_the_hilbert_series_and_the_fold_eliminates(
                                                                                steps):
     spec = examples.spec("example-curve-2")
     A, B = component_ideal(spec, 1), component_ideal(spec, 2)
-    short = linjoin._presentation(spec, 2)[:-1]
+    *short, last = examples.presentation(spec, 2)
     # containment holds, so the Hilbert series is what refuses the candidate
     assert all(A.contains(g) and B.contains(g) for g in short)
-    got = _fold_with(monkeypatch, lambda spec, gens: gens[:-1])
+    got = _fold_with(monkeypatch, lambda gens: [g for g in gens if g != last])
     assert steps == [False]
     assert got.groebner_basis() == _eliminated(spec).groebner_basis()

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from scrollstci import linjoin, oracle
+from scrollstci import linjoin, oracle, scroll
 from scrollstci.cli import run
 from scrollstci.linjoin import (
     ComponentSpec,
@@ -270,7 +270,7 @@ def test_full_ideal_two_lines():
 @pytest.mark.parametrize("name", NAMED_EXAMPLES)
 def test_full_ideal_groebner_equal_to_intersection(name):
     spec = examples.spec(NAMED_EXAMPLES[name])
-    handle = IdealHandle(spec.ring, linjoin._presentation(spec, spec.l))
+    handle = IdealHandle(spec.ring, examples.presentation(spec))
     inter = intersection_ideal(spec)
     assert handle.groebner_basis() == inter.groebner_basis()
     # membership sanity both ways on the generators
@@ -286,17 +286,27 @@ def test_published_generators_lie_in_the_first_curve_intersection(curve1):
 
 def test_second_curve_full_tableau(curve2):
     # the published full presentation: the quadric plus eleven products
-    from scrollstci.linjoin import product_generators
-
-    ring = curve2.ring
-    products = {str(g) for g in product_generators(curve2)}
+    gens = examples.presentation(curve2)
+    products = {str(g) for g in gens[1:]}
     expected = {
         "b*c", "b*x", "a*c", "a*b", "a*x", "c*y",
         "b*y - b*u", "a*z - a*u", "x*y", "c*z", "x*z",
     }
     assert products == expected
-    handle = IdealHandle(curve2.ring, linjoin._presentation(curve2, curve2.l))
+    handle = IdealHandle(curve2.ring, gens)
     assert len(handle.generators) == 12
+
+
+@pytest.mark.parametrize("name", ["example-curve-1", "example-qprime", "example-barile"])
+def test_the_fold_takes_each_scrolls_minors_once(name, monkeypatch):
+    spec = examples.spec(name)
+    scrolls = [c.scroll for c in spec.components if c.scroll is not None and c.scroll.ncols >= 2]
+    calls, minors_2x2 = [], scroll.minors_2x2
+    monkeypatch.setattr(scroll, "minors_2x2", lambda m: calls.append(m) or minors_2x2(m))
+    for build in (full_ideal, intersection_ideal):
+        del calls[:]
+        build(spec)
+        assert calls == scrolls, build.__name__
 
 
 def test_full_ideal_rejects_invalid_spec():

@@ -14,6 +14,7 @@ import json
 from scrollstci.lattice import LatticeBasis
 from scrollstci.linjoin import TwoLinearSpec
 from scrollstci.poly import parse
+from scrollstci.scroll import minors_2x2
 
 from conftest import FIXTURES_DIR
 
@@ -32,6 +33,16 @@ def _load(name):
 def spec(name) -> TwoLinearSpec:
     """The shipped spec ``fixtures/{name}.json``."""
     return TwoLinearSpec.from_json(_load(name))
+
+
+def presentation(spec, k=None) -> list:
+    """The scroll minors of components 1..k (default l), then the
+    Delta_j x P_j products, j = 2..k: for k = l the generators ``full_ideal``
+    certifies, built directly from the components."""
+    comps = spec.components[:k]
+    minors = [m for comp in comps if comp.scroll is not None and comp.scroll.ncols >= 2
+              for m in minors_2x2(comp.scroll)]
+    return minors + [f * g for comp in comps[1:] for f in comp.delta for g in comp.p_forms]
 
 
 def qprime_generators() -> list:
