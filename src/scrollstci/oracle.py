@@ -61,16 +61,16 @@ the engine favours exactness and determinism over asymptotics.  The reduced
 basis is unique per (ideal, order); recomputation or permuting generators
 yields the identical result.
 
-`IdealHandle` caches one reduced basis per term order, packed, as the
-sorted reducer list its normal forms use, with its packing; the basis as
-polynomials, unpacked on the first `groebner_basis` request; and the Hilbert
-numerator of its degrevlex leading-term ideal.  One method,
-`IdealHandle._packed_basis`, hands out the packed basis to normal forms,
-`_extend`, `_rabinowitsch_contains` and the Hilbert numerator: the cached
-entry, or, when `_packed` chose a wider packing for the run, the entry packed
-again that wide, which is cached too.  A cache entry is written once and never mutated, nor are
-the dicts it holds, so concurrent readers are safe and concurrent first
-computations merely duplicate work.  The only module-level state is the
+`IdealHandle` keeps one cache entry per term order, written once by
+`IdealHandle._remember`: the reduced basis, packed, as the sorted reducer
+list its normal forms use, with its packing.  It keeps no basis as
+polynomials, which `groebner_basis` unpacks on each request, and no copy
+packed wider: when `_packed` chose a wider packing for a run,
+`IdealHandle._packed_basis` packs the entry again that wide for that run
+alone.  The handle also keeps the Hilbert numerator of its degrevlex
+leading-term ideal.  A cache entry is never mutated, nor are the dicts it
+holds, so concurrent readers are safe and concurrent first computations
+merely duplicate work.  The only module-level state is the
 write-once memo of packings.  The deadline set by `time_limit`
 (see `poly`) lives in a context variable, so it bounds only the thread (or
 task) that set it: a new thread starts with no deadline.
@@ -442,25 +442,19 @@ class IdealHandle:
             seen.add(g)
             gens.append(g)
         self.generators: tuple[Polynomial, ...] = tuple(gens)
-        self._cache: dict[TermOrder, tuple[Polynomial, ...]] = {}
-        # keyed by order, and by (order, bits) for the basis packed wider
-        self._packed: dict[object, tuple[_Packing, list[tuple[int, dict]]]] = {}
+        self._packed: dict[TermOrder, tuple[_Packing, list[tuple[int, dict]]]] = {}
         self._numerator: tuple[int, ...] | None = None
 
     def groebner_basis(self, order: TermOrder = DEGREVLEX) -> tuple[Polynomial, ...]:
-        cached = self._cache.get(order)
-        if cached is None:
-            pk, reducers = self._packed_basis(order)
-            cached = self._cache.setdefault(order, tuple(
-                Polynomial._make(self.ring, pk.unpack(p)) for _, p in reversed(reducers)))
-        return cached
+        pk, reducers = self._packed_basis(order)
+        return tuple(Polynomial._make(self.ring, pk.unpack(p)) for _, p in reversed(reducers))
 
     def _packed_basis(self, order: TermOrder, bits: int = 0
                       ) -> tuple[_Packing, list[tuple[int, dict]]]:
         """The packing and the reduced basis as ascending ``(lm, poly)`` reducers:
         the cached entry, computed on first request, or, when ``bits`` is wider
-        than its packing, the entry packed again ``bits`` wide (also cached, so
-        repeated wide normal forms pack the basis once)."""
+        than its packing, the entry packed again ``bits`` wide, which is not
+        stored."""
         entry = self._packed.get(order)
         if entry is None:
             field, gens = self.ring.field, self.generators
@@ -470,19 +464,15 @@ class IdealHandle:
         pk, reducers = entry
         if bits <= pk.bits:
             return entry
-        wide = self._packed.get((order, bits))
-        if wide is None:
-            q = _packing(pk.arity, order, bits)
-            decode, encode = pk.decode, q.encode
-            wide = self._packed.setdefault((order, bits), (q, [
-                (encode(decode(lm)), {encode(decode(m)): c for m, c in p.items()})
-                for lm, p in reducers]))
-        return wide
+        q = _packing(pk.arity, order, bits)
+        decode, encode = pk.decode, q.encode
+        return q, [(encode(decode(lm)), {encode(decode(m)): c for m, c in p.items()})
+                   for lm, p in reducers]
 
     def _remember(self, order: TermOrder, pk: _Packing, basis: list[dict]) -> tuple:
         """Cache a reduced basis, its elements in descending order of leading
-        monomials (each its own first key), packed; `groebner_basis` unpacks
-        it on first request."""
+        monomials (each its own first key), packed, as the one entry of
+        ``order``; an entry already there is kept and returned."""
         return self._packed.setdefault(order, (pk, [(next(iter(p)), p) for p in reversed(basis)]))
 
     def normal_form(self, f: Polynomial, order: TermOrder = DEGREVLEX) -> Polynomial:
@@ -544,8 +534,6 @@ class RadicalCertificate:
 
 
 def ideal_member(f: Polynomial, I: IdealHandle) -> bool:
-    if f.ring != I.ring:
-        raise RingMismatchError("polynomial lives in a different ring")
     return I.contains(f)
 
 
@@ -644,11 +632,10 @@ def _radical_chain(gens, I: IdealHandle):
 
 
 def radical_member(f: Polynomial, I: IdealHandle) -> RadicalCertificate:
-    """Decide f in rad(I): the radical chain of the single generator f."""
-    if f.ring != I.ring:
-        raise RingMismatchError("polynomial lives in a different ring")
-    if f.is_zero():
-        return RadicalCertificate(True, witness_k=1)
+    """Decide f in rad(I): the radical chain of the single generator f.
+
+    The zero polynomial closes at k = 1, and a polynomial of another ring
+    raises `RingMismatchError` from the chain's first normal form."""
     links = _radical_chain([f], I)
     if links is None:
         return RadicalCertificate(False, rabinowitsch=True)
@@ -737,9 +724,13 @@ def _hilbert_numerator(monomials) -> tuple[int, ...]:
 
     The pivot recursion (Bayer & Stillman, JSC 14, 1992; Bigatti, JPAA 119,
     1997): generators coprime to all others each contribute a factor
-    1 - T^deg, and otherwise, for the variable x met by most generators,
-    N(I) = N(I + (x)) + T*N(I : x), with N(I + (x)) = (1 - T)*N(generators
-    free of x).  Ideals met twice in one call are computed once.
+    1 - T^deg, and otherwise, for the variable x met by most generators and
+    e the least positive exponent of x among them,
+    N(I) = N(I + (x^e)) + T^e*N(I : x^e), with
+    N(I + (x^e)) = (1 - T^e)*N(generators free of x), since every generator
+    that contains x is divisible by x^e.  Pivoting on x^e rather than x keeps
+    the recursion's depth from growing with the exponents.  Ideals met twice
+    in one call are computed once.
     """
     deadline = _DEADLINE.get()
     memo: dict = {}
@@ -769,12 +760,13 @@ def _hilbert_numerator(monomials) -> tuple[int, ...]:
             (free if all(support[x] == 1 for x, e in enumerate(m) if e) else tied).append(m)
         if tied:
             x = max(range(len(support)), key=support.__getitem__)
-            without = times_one_minus(numerator(tuple(m for m in tied if not m[x])), 1)
-            quotient = numerator(minimal(m[:x] + (m[x] - 1,) + m[x + 1:] if m[x] else m
+            e = min(m[x] for m in tied if m[x])
+            without = times_one_minus(numerator(tuple(m for m in tied if not m[x])), e)
+            quotient = numerator(minimal(m[:x] + (m[x] - e,) + m[x + 1:] if m[x] else m
                                          for m in tied))
-            out = without + [0] * (len(quotient) + 1 - len(without))
+            out = without + [0] * (len(quotient) + e - len(without))
             for i, c in enumerate(quotient):
-                out[i + 1] += c
+                out[i + e] += c
         else:
             out = [1]
         for m in free:
@@ -864,19 +856,17 @@ def _dimension(I: IdealHandle) -> int:
 
 
 def radical_equal(I: IdealHandle, J: IdealHandle) -> bool:
-    """rad(I) == rad(J): equal reduced bases, or a radical chain both ways.
+    """rad(I) == rad(J): equal Krull dimensions and a radical chain both ways.
 
     Ideals of different Krull dimension have different radicals, and the
     answer is False without a chain.  Otherwise the chain of I's generators
     into J certifies rad(I) within rad(J) (and the reverse chain the
     converse), each link a normal-form test against J grown by the links
     before it, with the Rabinowitsch trick as fallback and as the chain's
-    route to False.
+    route to False.  So every True comes with the links of both chains.
     """
     if I.ring != J.ring:
         raise RingMismatchError("ideals live in different rings")
-    if I.groebner_basis() == J.groebner_basis():
-        return True
     if _dimension(I) != _dimension(J):
         return False
     return (_radical_chain(I.generators, J) is not None

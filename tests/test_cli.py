@@ -88,6 +88,15 @@ def test_radeq_exit_codes(tmp_path, capsys):
     assert code == 1 and doc["status"] == "false"
 
 
+def test_radeq_of_high_exponents_ends(tmp_path, capsys):
+    # the Hilbert numerator of (x^1200*y, x^1200*z) once recursed 1200 deep
+    high = write_ideal(tmp_path, "high.json", ["x", "y", "z"], ["x^1200*y", "x^1200*z"])
+    low = write_ideal(tmp_path, "low.json", ["x", "y", "z"], ["x*y", "x*z"])
+    for other in (low, high):
+        code, doc = invoke(capsys, "radeq", high, other)
+        assert code == 0 and doc["payload"]["equal"] is True
+
+
 def test_intersect(tmp_path, capsys):
     a = write_ideal(tmp_path, "a.json", ["x", "y"], ["x"])
     b = write_ideal(tmp_path, "b.json", ["x", "y"], ["y"])

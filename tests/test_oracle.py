@@ -165,6 +165,11 @@ def test_member_iff_normal_form_zero():
 def test_ring_mismatch():
     with pytest.raises(RingMismatchError):
         ideal_member(parse(R3, "x"), ideal(R2, "x"))
+    for f in (parse(R3, "x"), R3.zero()):
+        with pytest.raises(RingMismatchError):
+            radical_member(f, ideal(R2, "x"))
+    with pytest.raises(RingMismatchError):
+        radical_equal(ideal(R3, "x"), ideal(R2, "x"))
 
 
 # --- radical membership -------------------------------------------------------------
@@ -175,6 +180,12 @@ def test_radical_member_square():
     assert cert.member and cert.witness_k == 2
     # the witness is machine-checkable by normal form
     assert I.normal_form(parse(R2, "x") ** cert.witness_k).is_zero()
+
+
+def test_radical_member_of_zero_is_the_first_link():
+    for I in (ideal(R2, "x^2"), IdealHandle(R2, [])):
+        cert = radical_member(R2.zero(), I)
+        assert cert.member and cert.witness_k == 1 and not cert.rabinowitsch
 
 
 def test_radical_member_negative():
@@ -308,8 +319,9 @@ def test_extend_by_high_degree_polynomials_repacks_the_cached_basis_wider():
     assert grown.groebner_basis() == ideal(R3, *gens, *more).groebner_basis()
     assert I._packed_basis(DEGREVLEX)[0].bits == 8
     assert grown._packed_basis(DEGREVLEX)[0].bits > 8
-    # the basis packed wider for a run is kept for the next one
-    assert I._packed_basis(DEGREVLEX, 16) is I._packed_basis(DEGREVLEX, 16)
+    # a wider packing is packed again for each run, and only the order's own entry is kept
+    assert I._packed_basis(DEGREVLEX, 16) == I._packed_basis(DEGREVLEX, 16)
+    assert set(I._packed) == {DEGREVLEX}
 
 
 def test_rabinowitsch_of_a_high_degree_polynomial_repacks_the_cached_basis_wider():
@@ -390,6 +402,12 @@ def test_hilbert_numerator_of_the_twisted_cubic():
     assert _hilbert_numerator(g.leading_monomial(DEGREVLEX) for g in basis) == (1, 0, -3, 2)
     assert _hilbert_numerator([]) == (1,)
     assert _hilbert_numerator([(0, 0, 0, 0), (1, 0, 0, 0)]) == ()
+
+
+@pytest.mark.parametrize("a", [1, 1200])
+def test_hilbert_numerator_pivots_on_the_least_power_of_the_variable(a):
+    # one pivot on x^a, not a pivots on x, so the recursion stays shallow
+    assert _hilbert_numerator([(a, 1, 0), (a, 0, 1)]) == (1,) + (0,) * a + (-2, 1)
 
 
 def test_hilbert_numerator_honours_the_deadline():
@@ -617,6 +635,16 @@ def test_radical_equal_reflexive_symmetric_redundant():
     q = parse(R3, "y + 3*z")
     redundant = IdealHandle(R3, list(I.generators) + [p * q])
     assert radical_equal(I, redundant)
+
+
+def test_radical_equal_runs_both_chains_on_one_ideal_given_two_ways(monkeypatch):
+    I, J = ideal(R2, "x", "y"), ideal(R2, "x + y", "x - y")
+    assert I.groebner_basis() == J.groebner_basis()
+    calls = []
+    chain = oracle._radical_chain
+    monkeypatch.setattr(oracle, "_radical_chain", lambda gens, H: calls.append(H) or chain(gens, H))
+    assert radical_equal(I, J)
+    assert calls == [J, I]
 
 
 def radical_pairs(field, seed, count):
