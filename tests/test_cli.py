@@ -89,7 +89,7 @@ def test_radeq_exit_codes(tmp_path, capsys):
 
 
 def test_radeq_of_high_exponents_ends(tmp_path, capsys):
-    # the Hilbert numerator of (x^1200*y, x^1200*z) once recursed 1200 deep
+    # a Hilbert recursion one level per degree of x would pass Python's recursion limit here
     high = write_ideal(tmp_path, "high.json", ["x", "y", "z"], ["x^1200*y", "x^1200*z"])
     low = write_ideal(tmp_path, "low.json", ["x", "y", "z"], ["x*y", "x*z"])
     for other in (low, high):
