@@ -342,35 +342,24 @@ def _interreduce(pairs: list[tuple], pk: _Packing, field) -> list[tuple]:
         first_pass = False
 
 
-def _buchberger(seeds: list[dict], pk: _Packing, field,
-                gb_prefix: int = 0, stop_on_unit: bool = False) -> list[dict]:
-    """Reduced Groebner basis of the ideal generated by ``seeds``.
+def _buchberger(seeds: list[dict], pk: _Packing, field, gb_prefix: int = 0) -> list[dict]:
+    """Reduced Groebner basis of the ideal generated by the nonzero ``seeds``.
 
     ``gb_prefix``: the first so-many seeds are already a reduced basis under
     this order; pairs internal to them are skipped (their S-polynomials reduce
-    to zero by definition).  ``stop_on_unit``: return ``[1]`` as soon as a
-    nonzero constant appears; only valid when the caller just needs to know
-    whether the ideal is the unit ideal.
+    to zero by definition).  The unit ideal needs no case of its own: 1 (the
+    packed monomial 0) divides every leading monomial, so once it is in the
+    basis each pair left reduces to zero against it, and the final
+    interreduction returns [1].
     """
     keyf = pk.key
-    unit = [{0: field.one}]  # the packed monomial 1 is 0
-
     prefix = []
     rest = []
     for i, s in enumerate(seeds):
-        if not s:
-            continue
-        lm = max(s, key=keyf)
-        if lm == 0:
-            return list(unit)
-        (prefix if i < gb_prefix else rest).append((lm, s))
+        (prefix if i < gb_prefix else rest).append((max(s, key=keyf), s))
     if gb_prefix == 0:
         rest = _interreduce(rest, pk, field)
-        if any(lm == 0 for lm, _ in rest):
-            return list(unit)
     start = [(lm, _monic(p, lm, field)) for lm, p in prefix + rest]
-    if not start:
-        return []
 
     polys: list[dict] = []
     lms: list[int] = []
@@ -409,8 +398,6 @@ def _buchberger(seeds: list[dict], pk: _Packing, field,
         if not h:
             continue
         lm = next(iter(h))
-        if stop_on_unit and lm == 0:
-            return list(unit)
         idx = len(polys)
         polys.append(_monic(h, lm, field))
         lms.append(lm)
@@ -517,19 +504,19 @@ class RadicalCertificate:
     """Outcome of a radical membership test.
 
     ``witness_k`` is the smallest exponent found with f^k in the ideal (a
-    machine-checkable witness); when only the Rabinowitsch device certified
-    membership, ``witness_k`` is None and ``rabinowitsch`` is True.
+    machine-checkable witness); it is None when the Rabinowitsch device
+    decided, which every negative verdict needs, and ``to_json`` says so
+    under ``rabinowitsch``.
     """
 
     member: bool
     witness_k: int | None = None
-    rabinowitsch: bool = False
 
     def to_json(self):
         return {
             "member": self.member,
             "witness_k": self.witness_k,
-            "rabinowitsch": self.rabinowitsch,
+            "rabinowitsch": self.witness_k is None,
         }
 
 
@@ -558,8 +545,7 @@ def _rabinowitsch_contains(I: IdealHandle, f: Polynomial) -> bool:
     def run(q: _Packing) -> list[dict]:
         prefix = [{m << q.width: c for m, c in p.items()}
                   for _, p in I._packed_basis(DEGREVLEX, q.bits)[1]]
-        return _buchberger(prefix + [q.pack(rab)], q, ext.field,
-                           gb_prefix=len(prefix), stop_on_unit=True)
+        return _buchberger(prefix + [q.pack(rab)], q, ext.field, gb_prefix=len(prefix))
 
     _, basis = _packed(_packing(ext.arity, DEGREVLEX, pk.bits), [rab], run)
     return len(basis) == 1 and next(iter(basis[0])) == 0
@@ -638,11 +624,9 @@ def radical_member(f: Polynomial, I: IdealHandle) -> RadicalCertificate:
     raises `RingMismatchError` from the chain's first normal form."""
     links = _radical_chain([f], I)
     if links is None:
-        return RadicalCertificate(False, rabinowitsch=True)
+        return RadicalCertificate(False)
     (_, k), = links
-    if k == _RABINOWITSCH:
-        return RadicalCertificate(True, witness_k=None, rabinowitsch=True)
-    return RadicalCertificate(True, witness_k=k)
+    return RadicalCertificate(True, None if k == _RABINOWITSCH else k)
 
 
 def _certify(seeds: list[dict], basis: list[dict], pk: _Packing, field) -> None:
@@ -729,11 +713,9 @@ def _hilbert_numerator(monomials) -> tuple[int, ...]:
     N(I) = N(I + (x^e)) + T^e*N(I : x^e), with
     N(I + (x^e)) = (1 - T^e)*N(generators free of x), since every generator
     that contains x is divisible by x^e.  Pivoting on x^e rather than x keeps
-    the recursion's depth from growing with the exponents.  Ideals met twice
-    in one call are computed once.
+    the recursion's depth from growing with the exponents.
     """
     deadline = _DEADLINE.get()
-    memo: dict = {}
 
     def minimal(gens) -> tuple:
         kept: list = []
@@ -751,9 +733,6 @@ def _hilbert_numerator(monomials) -> tuple[int, ...]:
 
     def numerator(gens: tuple) -> list:
         _check_deadline(deadline)
-        cached = memo.get(gens)
-        if cached is not None:
-            return cached
         support = [sum(1 for m in gens if m[x]) for x in range(len(gens[0]))] if gens else []
         free, tied = [], []
         for m in gens:
@@ -771,7 +750,6 @@ def _hilbert_numerator(monomials) -> tuple[int, ...]:
             out = [1]
         for m in free:
             out = times_one_minus(out, mono_deg(m))
-        memo[gens] = out
         return out
 
     coeffs = numerator(minimal(monomials))

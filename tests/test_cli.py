@@ -97,6 +97,24 @@ def test_radeq_of_high_exponents_ends(tmp_path, capsys):
         assert code == 0 and doc["payload"]["equal"] is True
 
 
+def test_the_fresh_variable_avoids_every_name_of_the_ring(tmp_path, capsys):
+    # the ring holds t and t0, so the Rabinowitsch, intersection and saturation
+    # rings extend it by t1 (and t2 for the lattice ring t, t0, t1)
+    high = write_ideal(tmp_path, "high.json", ["t", "t0", "x"], ["t^9*x"])
+    low = write_ideal(tmp_path, "low.json", ["t", "t0", "x"], ["t*x"])
+    line = write_ideal(tmp_path, "line.json", ["t", "t0", "x"], ["t0 - x"])
+    code, doc = invoke(capsys, "radeq", high, low)
+    assert code == 0 and doc["payload"]["equal"] is True
+    code, doc = invoke(capsys, "radmember", high, "--poly", "t*x")
+    assert code == 0 and doc["payload"]["member"] is True and doc["payload"]["witness_k"] is None
+    code, doc = invoke(capsys, "radmember", high, "--poly", "t0")
+    assert code == 1
+    code, doc = invoke(capsys, "intersect", low, line)
+    assert code == 0 and doc["payload"]["gens"] == ["t*t0*x - t*x^2"]
+    code, doc = invoke(capsys, "lattice", "--basis", "1,-2,1", "--ring", "t,t0,t1")
+    assert code == 0 and doc["payload"]["ideal"]["gens"] == ["-t*t1 + t0^2"]
+
+
 def test_intersect(tmp_path, capsys):
     a = write_ideal(tmp_path, "a.json", ["x", "y"], ["x"])
     b = write_ideal(tmp_path, "b.json", ["x", "y"], ["y"])

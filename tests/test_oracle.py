@@ -185,7 +185,7 @@ def test_radical_member_square():
 def test_radical_member_of_zero_is_the_first_link():
     for I in (ideal(R2, "x^2"), IdealHandle(R2, [])):
         cert = radical_member(R2.zero(), I)
-        assert cert.member and cert.witness_k == 1 and not cert.rabinowitsch
+        assert cert.member and cert.witness_k == 1 and not cert.to_json()["rabinowitsch"]
 
 
 def test_radical_member_negative():
@@ -237,10 +237,10 @@ def test_radical_member_agrees_with_power_oracle():
 def test_witness_decoration_at_the_fixed_bound():
     # x in rad(x^5): the witness 5 lies within the fixed bound of 8
     five = radical_member(parse(R2, "x"), ideal(R2, "x^5"))
-    assert five.member and five.witness_k == 5 and not five.rabinowitsch
+    assert five.member and five.witness_k == 5 and not five.to_json()["rabinowitsch"]
     # x in rad(x^9): no power up to the bound closes, so Rabinowitsch decides
     nine = radical_member(parse(R2, "x"), ideal(R2, "x^9"))
-    assert nine.member and nine.witness_k is None and nine.rabinowitsch
+    assert nine.member and nine.witness_k is None and nine.to_json()["rabinowitsch"]
 
 
 # --- radical chain -----------------------------------------------------------------
@@ -763,11 +763,11 @@ def _interreduce(pairs, order, field):
     return [(pk.decode(lm), pk.unpack(p)) for lm, p in out]
 
 
-def _buchberger(seeds, arity, order, field, gb_prefix=0, stop_on_unit=False):
+def _buchberger(seeds, arity, order, field, gb_prefix=0):
     pk, basis = oracle._packed(
         _narrowest(arity, order), seeds,
         lambda q: oracle._buchberger([q.pack(s) for s in seeds], q, field,
-                                     gb_prefix, stop_on_unit))
+                                     gb_prefix))
     return [pk.unpack(p) for p in basis]
 
 
@@ -1018,8 +1018,14 @@ def test_packed_monomials_compute_what_exponent_tuples_do(order):
                 assert (ea + eb) & pk.guard  # the sum left the fields, and shows it
 
 
+# generators of the unit ideal over QQ[x, y, z]: a constant seed, a constant
+# after the first interreduction, and a constant met only during the run
+_UNIT_SEEDS = [("3", "x*y"), ("x - 1", "x"), ("x*y - 1", "x^2", "y^3 - z")]
+
+
 def _differential_cases():
-    """Seeded ideals over QQ and F_7, six under each order of ``_ORDERS``."""
+    """Seeded ideals over QQ and F_7, six under each order of ``_ORDERS``, then
+    the `_UNIT_SEEDS` under each order."""
     rng = random.Random(47)
     for n in range(30):
         field, order = (QQ, Fp(7))[n % 2], _ORDERS[n % 5]
@@ -1027,6 +1033,15 @@ def _differential_cases():
         seeds = [g for g in (_random_terms(rng, arity, field, rng.randint(2, 4), top=3)
                              for _ in range(rng.randint(2, 4))) if g]
         yield seeds, arity, order, field
+    for texts, order in product(_UNIT_SEEDS, _ORDERS):
+        yield [parse(R3, t)._terms for t in texts], 3, order, QQ
+
+
+@pytest.mark.parametrize("order", _ORDERS, ids=str)
+@pytest.mark.parametrize("texts", _UNIT_SEEDS, ids=", ".join)
+def test_the_kernel_ends_a_unit_ideal_in_one(texts, order):
+    seeds = [parse(R3, t)._terms for t in texts]
+    assert _buchberger(seeds, 3, order, QQ) == [{(0, 0, 0): QQ.one}]
 
 
 def test_packed_kernel_matches_the_tuple_kernel(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 from scrollstci.linjoin import ComponentSpec, TwoLinearSpec, intersection_ideal, projdim
 from scrollstci.oracle import IdealHandle, ideal_member, radical_member
-from scrollstci.poly import LinearSpan, Ring, linear_span_dim, parse
+from scrollstci.poly import LinearSpan, Ring, RingMismatchError, linear_span_dim, parse
 from scrollstci.scroll import ScrollBlock, ScrollMatrix
 from scrollstci.synth import (
     SynthesisError,
@@ -303,3 +303,10 @@ def test_verify_ring_mismatch():
     other = Ring(("x", "y"))
     with pytest.raises(Exception):
         verify_generator_list([other.variable("x")], spec)
+
+
+def test_a_generator_of_another_ring_is_a_ring_mismatch():
+    spec = examples.spec("example-qprime")
+    gens = examples.qprime_generators()
+    with pytest.raises(RingMismatchError, match="generator lives in a different ring"):
+        verify_generator_list(gens[:2] + [Ring(("x", "y")).variable("x")], spec)
