@@ -189,7 +189,8 @@ def _load_scroll_doc(args):
     def build(doc):
         doc = _with_field(doc, field)
         ring = Ring.from_json(doc["ring"])
-        matrix = scroll.ScrollMatrix.from_json(ring, doc.get("scroll") or doc)
+        nested = doc.get("scroll")
+        matrix = scroll.ScrollMatrix.from_json(ring, doc if nested is None else nested)
         if "delta" not in doc:  # the classify command refuses the file
             return ring, matrix, None
         return ring, matrix, [parse(ring, s) for s in

@@ -172,7 +172,7 @@ class TwoLinearSpec:
         comps = []
         for doc in json_list(obj["components"], "spec components in 'components'"):
             scroll = None
-            if doc.get("scroll"):
+            if doc.get("scroll") is not None:
                 scroll = ScrollMatrix.from_json(ring, doc["scroll"])
             comps.append(ComponentSpec(
                 scroll=scroll,
@@ -208,16 +208,16 @@ class AraHypotheses:
     ``rows_in_delta``: for i >= 2, some row of B_i lies in span(Delta_i).
     ``rows_in_p``: for i < j, some row of B_i lies in span(P_j).
     The row flags alone are the hypotheses of the summed upper bound; all
-    three together are the hypotheses of exact synthesis.  ``delta_rows[i]``
-    and ``p_rows[i, j]`` hold the row found (1 or 2, else None); not in JSON.
+    three together are the hypotheses of exact synthesis.  ``rows`` maps (i,)
+    and (i, j), for each B_i with minors, to the first row of B_i inside
+    span(Delta_i) or span(P_j) (1 or 2, else None); not in JSON.
     """
 
     single_block: bool = True
     rows_in_delta: bool = True
     rows_in_p: bool = True
     failures: list[str] = dc_field(default_factory=list)
-    delta_rows: dict[int, int | None] = dc_field(default_factory=dict)
-    p_rows: dict[tuple[int, int], int | None] = dc_field(default_factory=dict)
+    rows: dict[tuple[int, ...], int | None] = dc_field(default_factory=dict)
 
     @property
     def synthesis_ok(self) -> bool:
@@ -300,7 +300,7 @@ def validate(spec: TwoLinearSpec) -> ValidationReport:
     questions = [("d", (i,), spec.delta(i), f"Delta_{i}") for i in range(2, spec.l + 1)]
     questions += [("e", (i, j), spec.p(j), f"P_{j}")
                   for i in range(1, spec.l + 1) for j in range(i + 1, spec.l + 1)]
-    rows: dict = {}
+    rows: dict[tuple[int, ...], int | None] = {}
     for condition, indices, forms, name in questions:
         scroll = spec.component(indices[0]).scroll
         if not _scroll_has_minors(scroll):
@@ -322,7 +322,7 @@ def validate(spec: TwoLinearSpec) -> ValidationReport:
                  f"intersection of (Q_1)..(Q_{k-1}) is not inside (P_{k}, D_{k-1})")
 
     # hypothesis flags for the synthesis theorems; rows are tried 1 then 2
-    hyp = AraHypotheses()
+    hyp = AraHypotheses(rows=rows)
     for i in range(1, spec.l + 1):
         scroll = spec.component(i).scroll
         if scroll is None:
@@ -333,13 +333,11 @@ def validate(spec: TwoLinearSpec) -> ValidationReport:
         if not _scroll_has_minors(scroll):
             continue
         if i >= 2:
-            hyp.delta_rows[i] = rows[i,]
-            if hyp.delta_rows[i] is None:
+            if rows[i,] is None:
                 hyp.rows_in_delta = False
                 hyp.failures.append(f"component {i}: no scroll row inside (Delta_{i})")
         for j in range(i + 1, spec.l + 1):
-            hyp.p_rows[i, j] = rows[i, j]
-            if hyp.p_rows[i, j] is None:
+            if rows[i, j] is None:
                 hyp.rows_in_p = False
                 hyp.failures.append(f"component {i}: no scroll row inside (P_{j})")
 

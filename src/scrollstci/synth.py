@@ -50,35 +50,15 @@ class SynthesisError(ScrollstciError):
 
 @dataclass(frozen=True)
 class TildeData:
-    """Per-component complements; tuples are 0-indexed by component - 1."""
+    """Per-component complements; tuples are 0-indexed by component - 1.
+
+    ``tilde_delta[0]`` and ``tilde_p[0]`` are empty: component 1 has neither.
+    """
 
     spec: TwoLinearSpec
     inner_spans: tuple[tuple[Polynomial, ...], ...]
     tilde_delta: tuple[tuple[Polynomial, ...], ...]
     tilde_p: tuple[tuple[Polynomial, ...], ...]
-
-    @property
-    def l(self) -> int:
-        return self.spec.l
-
-    def tilde_d_dim(self, j: int) -> int:
-        """dim of tildeD_j = tildeDelta_{j+1} (+) ... (+) tildeDelta_l."""
-        return sum(len(self.tilde_delta[k - 1]) for k in range(j + 1, self.l + 1))
-
-    def global_delta_basis(self) -> list[tuple[int, Polynomial]]:
-        """(component, form) pairs from component l down to 2; 1-based rows."""
-        out: list[tuple[int, Polynomial]] = []
-        for j in range(self.l, 1, -1):
-            for f in self.tilde_delta[j - 1]:
-                out.append((j, f))
-        return out
-
-    def tableau_row_count(self) -> int:
-        """ara of the pruned product ideal: max_j (dim tildeD_{j-1} + dim tildeP_j) - 1."""
-        best = 0
-        for j in range(2, self.l + 1):
-            best = max(best, self.tilde_d_dim(j - 1) + len(self.tilde_p[j - 1]))
-        return best - 1 if best else 0
 
 
 def _single_block(spec: TwoLinearSpec, i: int) -> ScrollBlock | None:
@@ -139,7 +119,7 @@ def tilde_decompose(spec: TwoLinearSpec) -> TildeData:
     tilde_delta: list[tuple[Polynomial, ...]] = [()]
     for j in range(2, l + 1):
         block = blocks[j - 1]
-        corners = () if block is None else (block.corners[hyp.delta_rows[j] - 1],)
+        corners = () if block is None else (block.corners[hyp.rows[j,] - 1],)
         tilde_delta.append(_complement(spec, f"tildeDelta_{j}", spec.delta(j),
                                        inner_spans[j - 1], corners,
                                        spec.component(j).tilde_delta))
@@ -149,7 +129,7 @@ def tilde_decompose(spec: TwoLinearSpec) -> TildeData:
     for j in range(2, l + 1):
         earlier = [i for i in range(1, j) if blocks[i - 1] is not None]
         inner = tuple(f for i in earlier for f in inner_spans[i - 1])
-        corners = tuple(blocks[i - 1].corners[hyp.p_rows[i, j] - 1] for i in earlier)
+        corners = tuple(blocks[i - 1].corners[hyp.rows[i, j] - 1] for i in earlier)
         override = spec.component(j).tilde_p
         chosen = _complement(spec, f"tildeP_{j}", spec.p(j), inner, corners, override)
         if override is None:
@@ -161,11 +141,12 @@ def tilde_decompose(spec: TwoLinearSpec) -> TildeData:
 
 
 def _order_tilde_p(spec, chosen, corners, tilde_delta, j: int):
-    """Anti-diagonal default order: earlier tildeDelta members first, corners last."""
+    """Anti-diagonal default order: earlier tildeDelta members first (ascending
+    component), then the other forms, corners last; the stable sort keeps the
+    listed order within each group."""
     corner_set = set(corners)
 
-    def group(idx_form):
-        _, form = idx_form
+    def group(form):
         for k in range(2, j):
             if spec.span(tilde_delta[k - 1]).contains(form):
                 return (0, k)
@@ -173,27 +154,30 @@ def _order_tilde_p(spec, chosen, corners, tilde_delta, j: int):
             return (2, 0)
         return (1, 0)
 
-    indexed = list(enumerate(chosen))
-    indexed.sort(key=lambda idx_form: (group(idx_form), idx_form[0]))
-    return [form for _, form in indexed]
+    return sorted(chosen, key=group)
 
 
 def tableau_generators(tilde: TildeData) -> list[Polynomial]:
-    """Anti-diagonal row sums of the pruned product tableau; degree-2 forms."""
+    """Anti-diagonal row sums of the pruned product tableau; degree-2 forms.
+
+    One pass over the components from l down to 2 numbers the tildeDelta
+    forms from 1; the product of the n-th form with the idx-th form of
+    tildeP_j (from 0) lands in row n + idx.  After component j, n is
+    dim tildeD_{j-1}, so the row count is max_j (n + dim tildeP_j) - 1.
+    """
+    ring = tilde.spec.ring
     rows: dict[int, Polynomial] = {}
-    global_basis = tilde.global_delta_basis()
-    gidx_of: list[tuple[int, int, Polynomial]] = [
-        (g + 1, comp, form) for g, (comp, form) in enumerate(global_basis)
-    ]
-    for gidx, comp, f in gidx_of:
-        p_basis = tilde.tilde_p[comp - 1]
-        for idx, g in enumerate(p_basis, start=1):
-            t = gidx + idx - 1
-            prod = f * g
-            rows[t] = rows.get(t, tilde.spec.ring.zero()) + prod
-    count = tilde.tableau_row_count()
+    n = best = 0
+    for j in range(tilde.spec.l, 1, -1):
+        p_basis = tilde.tilde_p[j - 1]
+        for f in tilde.tilde_delta[j - 1]:
+            n += 1
+            for idx, g in enumerate(p_basis):
+                rows[n + idx] = rows.get(n + idx, ring.zero()) + f * g
+        best = max(best, n + len(p_basis))
+    count = best - 1 if best else 0
     missing = [t for t in range(1, count + 1) if t not in rows or rows[t].is_zero()]
-    if missing or set(rows) != set(range(1, count + 1)):
+    if missing:
         raise SynthesisError(f"tableau rows are not contiguous (missing {missing})")
     return [rows[t] for t in range(1, count + 1)]
 

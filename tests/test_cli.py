@@ -160,6 +160,35 @@ def test_classify_file_without_delta_is_refused(tmp_path, capsys):
     assert code == 1 and doc["payload"]["case"] == "not_contained"
 
 
+def test_classify_refuses_a_delta_form_that_is_not_linear(tmp_path, capsys):
+    doc_in = {"ring": {"vars": ["x", "y", "z"]},
+              "blocks": [{"entries": ["x", "y", "z"]}], "delta": ["x^2", "y"]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc_in))
+    code, doc = invoke(capsys, "classify", str(path))
+    assert code == 2 and doc["payload"]["message"] == "not a linear form: x^2"
+
+
+@pytest.mark.parametrize("value", [False, 0, "", [], {}], ids=repr)
+def test_a_falsy_scroll_is_malformed_not_absent(tmp_path, capsys, value):
+    # read as "no scroll", component 1 lost its Verdi generator and validated
+    spec = json.loads((FIXTURES_DIR / "example-curve-1.json").read_text())
+    spec["components"][0]["scroll"] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, doc = invoke(capsys, "validate", str(path))
+    assert code == 2 and doc["payload"]["message"].startswith("malformed input in ")
+
+
+def test_classify_refuses_a_scroll_key_that_is_false(tmp_path, capsys):
+    doc_in = {"ring": {"vars": ["x", "y", "z"]}, "scroll": False,
+              "blocks": [{"entries": ["x", "y", "z"]}], "delta": ["x", "y"]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc_in))
+    code, doc = invoke(capsys, "classify", str(path))
+    assert code == 2 and doc["payload"]["message"].startswith("malformed input in ")
+
+
 def test_validate(capsys, tmp_path):
     code, doc = invoke(capsys, "validate", str(FIXTURES_DIR / "example-curve-2.json"))
     assert code == 0 and doc["payload"]["ok"] is True

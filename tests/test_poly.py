@@ -393,6 +393,16 @@ def test_span_residual_decomposition():
     assert span.contains(parse(ring, "a - 5*b"))
 
 
+def test_a_span_refuses_a_form_that_is_not_linear():
+    ring = Ring(("x", "y"))
+    square = parse(ring, "x^2")
+    with pytest.raises(ScrollstciError, match=r"^not a linear form: x\^2$"):
+        LinearSpan(ring, [square])
+    span = LinearSpan(ring, [ring.variable("x")])
+    with pytest.raises(ScrollstciError, match=r"^not a linear form: x\^2$"):
+        span.residual(square)
+
+
 def test_proportional():
     ring = Ring(("a", "b"))
     f = parse(ring, "2*a + 4*b")

@@ -10,6 +10,7 @@ from scrollstci.poly import LinearSpan, Ring, RingMismatchError, linear_span_dim
 from scrollstci.scroll import ScrollBlock, ScrollMatrix
 from scrollstci.synth import (
     SynthesisError,
+    TildeData,
     synthesize,
     tableau_generators,
     tilde_decompose,
@@ -136,6 +137,17 @@ def test_first_curve_tableau_rows(curve1):
         "c*v + a*v + b*v",
     ]
     assert rows == [parse(ring, t) for t in expect]
+
+
+def test_a_tableau_with_a_gap_is_refused(curve2):
+    # dim tildeD_2 + dim tildeP_3 = 3 asks for two rows, but x*w fills row 1 only
+    ring = curve2.ring
+    x, y, z, w = (ring.variable(v) for v in "xyzw")
+    tilde = TildeData(spec=curve2, inner_spans=((),) * 4,
+                      tilde_delta=((), (), (), (x,)), tilde_p=((), (), (y, z), (w,)))
+    with pytest.raises(SynthesisError) as info:
+        tableau_generators(tilde)
+    assert str(info.value) == "tableau rows are not contiguous (missing [2])"
 
 
 def test_rows_are_quadratic(curve1, curve2):
