@@ -189,6 +189,8 @@ def _load_scroll_doc(args):
     def build(doc):
         doc = _with_field(doc, field)
         ring = Ring.from_json(doc["ring"])
+        if "scroll" in doc and "blocks" in doc:
+            raise ValueError("the scroll is given two ways: 'scroll' and 'blocks'")
         nested = doc.get("scroll")
         matrix = scroll.ScrollMatrix.from_json(ring, doc if nested is None else nested)
         if "delta" not in doc:  # the classify command refuses the file

@@ -357,7 +357,9 @@ def order_from_string(text: str) -> TermOrder:
 # the old ones, a product runs over a's terms, and within each over b's.
 
 def _add_into(out: dict, terms: dict, op) -> None:
-    """``out`` += ``terms`` (op = field.add) or -= ``terms`` (op = field.sub), in place."""
+    """``out`` += ``terms`` (op = field.add) or -= ``terms`` (op = field.sub), in place.
+
+    `LinearSpan` uses it on its sparse rows, keyed by variable index."""
     get = out.get
     for m, c in terms.items():
         s = op(get(m, 0), c)
@@ -772,13 +774,21 @@ def is_variable(p: Polynomial) -> bool:
     return mono_deg(mono) == 1 and coeff == p.ring.field.one
 
 
+def _linear_row(p: Polynomial) -> dict:
+    """Sparse coefficients ``{variable index: scalar}`` of a linear form."""
+    row = {}
+    for mono, coeff in p._terms.items():
+        if sum(mono) != 1:
+            raise ScrollstciError(f"not a linear form: {p}")
+        row[mono.index(1)] = coeff
+    return row
+
+
 def linear_coeffs(p: Polynomial) -> tuple:
     """Coefficient vector of a linear form, one scalar per ring variable."""
-    if not is_linear_form(p):
-        raise ScrollstciError(f"not a linear form: {p}")
     out = [p.ring.field.zero] * p.ring.arity
-    for mono, coeff in p._terms.items():
-        out[mono.index(1)] = coeff
+    for i, coeff in _linear_row(p).items():
+        out[i] = coeff
     return tuple(out)
 
 
@@ -812,36 +822,15 @@ def proportional(f: Polynomial, g: Polynomial):
     return alpha
 
 
-def _rref(rows: list[list], field: FieldSpec) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form with exact arithmetic; returns (rows, pivots)."""
-    work = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(work[0]) if work else 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = field.inv(work[r][col])
-        work[r] = [field.mul(inv, x) for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                c = work[i][col]
-                work[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
-
-
 class LinearSpan:
     """Row-reduced span of linear forms; exact rank, membership, residuals.
 
-    The complement used for residuals is the span of the coordinates that are
-    not pivotal in the reduced row echelon form, which makes the decomposition
-    ``form = projection + residual`` deterministic.
+    The basis is the reduced row echelon form, kept as sparse rows
+    ``{pivot: {variable index: scalar}}``: each row is 1 at its pivot, its
+    first nonzero variable, and every other row is 0 there.  That form is
+    unique to the span, so the complement used for residuals, the span of the
+    variables that are not pivots, depends on the span alone and not on the
+    forms that gave it: ``form = projection + residual`` is deterministic.
     """
 
     def __init__(self, ring: Ring, forms: Iterable[Polynomial]):
@@ -850,8 +839,35 @@ class LinearSpan:
         for f in self.forms:
             if f.ring != ring:
                 raise RingMismatchError("span forms must live in the given ring")
-        rows = [list(linear_coeffs(f)) for f in self.forms if not f.is_zero()]
-        self._rows, self._pivots = _rref(rows, ring.field)
+        field = ring.field
+        self._rows: dict[int, dict] = {}
+        for f in self.forms:
+            row = self._reduce(_linear_row(f))
+            if not row:
+                continue
+            pivot = min(row)
+            if row[pivot] != 1:
+                inv = field.inv(row[pivot])
+                row = {i: field.mul(inv, c) for i, c in row.items()}
+            for other in self._rows.values():
+                c = other.get(pivot)
+                if c:
+                    _add_into(other, {i: field.mul(c, y) for i, y in row.items()}, field.sub)
+            self._rows[pivot] = row
+
+    def _reduce(self, row: dict) -> dict:
+        """``row`` less its projection on the span (in place): 0 at every pivot."""
+        # a basis row is 0 at every other pivot, so each subtraction clears one
+        # pivot of ``row`` and leaves the others as they were
+        rows, field = self._rows, self.ring.field
+        for pivot in rows.keys() & row.keys():
+            c = row[pivot]
+            _add_into(row, {i: field.mul(c, y) for i, y in rows[pivot].items()}, field.sub)
+        return row
+
+    def _check_ring(self, form: Polynomial) -> None:
+        if form.ring != self.ring:
+            raise RingMismatchError("form lives in a different ring")
 
     @property
     def dim(self) -> int:
@@ -859,18 +875,15 @@ class LinearSpan:
 
     def residual(self, form: Polynomial) -> Polynomial:
         """The component of ``form`` off this span (zero iff contained)."""
-        if form.ring != self.ring:
-            raise RingMismatchError("form lives in a different ring")
-        field = self.ring.field
-        coeffs = list(linear_coeffs(form))
-        for row, piv in zip(self._rows, self._pivots):
-            c = coeffs[piv]
-            if c != 0:
-                coeffs = [field.sub(x, field.mul(c, y)) for x, y in zip(coeffs, row)]
-        return linear_form(self.ring, coeffs)
+        self._check_ring(form)
+        row = self._reduce(_linear_row(form))
+        n = self.ring.arity
+        return Polynomial._make(self.ring, {(0,) * i + (1,) + (0,) * (n - 1 - i): row[i]
+                                            for i in sorted(row)})
 
     def contains(self, form: Polynomial) -> bool:
-        return self.residual(form).is_zero()
+        self._check_ring(form)
+        return not self._reduce(_linear_row(form))
 
     def contains_all(self, forms: Iterable[Polynomial]) -> bool:
         return all(self.contains(f) for f in forms)

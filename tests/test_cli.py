@@ -189,6 +189,19 @@ def test_classify_refuses_a_scroll_key_that_is_false(tmp_path, capsys):
     assert code == 2 and doc["payload"]["message"].startswith("malformed input in ")
 
 
+@pytest.mark.parametrize("command", ["minors", "verdi", "classify"])
+def test_a_scroll_file_with_nested_and_top_level_blocks_is_refused(tmp_path, capsys, command):
+    # the nested scroll was read and the top-level blocks dropped: minors gave x*z - y^2
+    doc_in = {"ring": {"vars": ["x", "y", "z", "w"]},
+              "scroll": {"blocks": [{"entries": ["x", "y", "z"]}]},
+              "blocks": [{"entries": ["x", "y", "w"]}], "delta": ["x"]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc_in))
+    code, doc = invoke(capsys, command, str(path))
+    assert code == 2 and doc["payload"]["message"] == (
+        f"malformed input in {str(path)!r}: the scroll is given two ways: 'scroll' and 'blocks'")
+
+
 def test_validate(capsys, tmp_path):
     code, doc = invoke(capsys, "validate", str(FIXTURES_DIR / "example-curve-2.json"))
     assert code == 0 and doc["payload"]["ok"] is True

@@ -458,5 +458,5 @@ def test_every_coefficient_is_in_canonical_form(case, n):
     results += [span.residual(f) for f in forms]
     for f in results:
         assert_canonical((c for _, c in f.items()), ring.field)
-    for row in span._rows:
-        assert_canonical(row, ring.field)
+    for row in span._rows.values():
+        assert_canonical(row.values(), ring.field)
