@@ -113,8 +113,7 @@ def _infer_ring(snippets, field: FieldSpec | None) -> Ring:
     return Ring(tuple(names), field or FieldSpec("QQ"))
 
 
-def _ring_from_args(args, snippets) -> Ring:
-    field = _parse_field(args.field)
+def _ring_from_args(args, field: FieldSpec | None, snippets) -> Ring:
     if getattr(args, "ring", None):
         return Ring(tuple(v.strip() for v in args.ring.split(",") if v.strip()),
                     field or FieldSpec("QQ"))
@@ -136,8 +135,8 @@ def _fp_diagnostics(ring: Ring) -> list:
 # --- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_gb(args) -> CommandResult:
-    handle = _load_ideal(args.ideal, _parse_field(args.field))
+def _cmd_gb(args, field: FieldSpec | None) -> CommandResult:
+    handle = _load_ideal(args.ideal, field)
     order = order_from_string(args.order)
     if order.block > handle.ring.arity:
         raise ScrollstciError(f"block prefix {order.block} exceeds the ring's "
@@ -146,8 +145,8 @@ def _cmd_gb(args) -> CommandResult:
     return CommandResult("ok", {"basis": [str(g) for g in basis]})
 
 
-def _cmd_member(args) -> CommandResult:
-    handle = _load_ideal(args.ideal, _parse_field(args.field))
+def _cmd_member(args, field: FieldSpec | None) -> CommandResult:
+    handle = _load_ideal(args.ideal, field)
     f = parse(handle.ring, args.poly)
     nf = handle.normal_form(f)
     member = nf.is_zero()
@@ -155,16 +154,15 @@ def _cmd_member(args) -> CommandResult:
     return CommandResult("ok" if member else "false", payload)
 
 
-def _cmd_radmember(args) -> CommandResult:
-    handle = _load_ideal(args.ideal, _parse_field(args.field))
+def _cmd_radmember(args, field: FieldSpec | None) -> CommandResult:
+    handle = _load_ideal(args.ideal, field)
     f = parse(handle.ring, args.poly)
     cert = oracle.radical_member(f, handle)
     return CommandResult("ok" if cert.member else "false", cert.to_json(),
                          _fp_diagnostics(handle.ring))
 
 
-def _cmd_radeq(args) -> CommandResult:
-    field = _parse_field(args.field)
+def _cmd_radeq(args, field: FieldSpec | None) -> CommandResult:
     I = _load_ideal(args.first, field)
     J = _load_ideal(args.second, field)
     equal = oracle.radical_equal(I, J)
@@ -172,17 +170,15 @@ def _cmd_radeq(args) -> CommandResult:
                          _fp_diagnostics(I.ring))
 
 
-def _cmd_intersect(args) -> CommandResult:
-    field = _parse_field(args.field)
+def _cmd_intersect(args, field: FieldSpec | None) -> CommandResult:
     handles = [_load_ideal(p, field) for p in args.ideals]
     result = oracle.intersect_many(handles)
     return CommandResult("ok", result.to_json())
 
 
-def _load_scroll_doc(args):
-    field = _parse_field(args.field)
+def _load_scroll_doc(args, field: FieldSpec | None):
     if args.block is not None:
-        ring = _ring_from_args(args, args.block.split(","))
+        ring = _ring_from_args(args, field, args.block.split(","))
         matrix = scroll.ScrollMatrix((_block_from_text(ring, args.block),))
         return ring, matrix, None
 
@@ -201,35 +197,35 @@ def _load_scroll_doc(args):
     return _from_file(args.file, build)
 
 
-def _cmd_minors(args) -> CommandResult:
-    _, matrix, _ = _load_scroll_doc(args)
+def _cmd_minors(args, field: FieldSpec | None) -> CommandResult:
+    _, matrix, _ = _load_scroll_doc(args, field)
     return CommandResult("ok", {"minors": [str(m) for m in scroll.minors_2x2(matrix)]})
 
 
-def _cmd_verdi(args) -> CommandResult:
-    _, matrix, _ = _load_scroll_doc(args)
+def _cmd_verdi(args, field: FieldSpec | None) -> CommandResult:
+    _, matrix, _ = _load_scroll_doc(args, field)
     if len(matrix.blocks) != 1:
         raise ScrollstciError("Verdi generators take a single block")
     gens = scroll.verdi_generators(matrix.blocks[0])
     return CommandResult("ok", {"F": [str(g) for g in gens]})
 
 
-def _cmd_classify(args) -> CommandResult:
-    _, matrix, delta = _load_scroll_doc(args)
+def _cmd_classify(args, field: FieldSpec | None) -> CommandResult:
+    _, matrix, delta = _load_scroll_doc(args, field)
     if delta is None:
         raise ScrollstciError("classification needs a 'delta' list in the input file")
     result = scroll.classify_modulo(matrix, delta)
     return CommandResult("ok" if result.contained else "false", result.to_json())
 
 
-def _cmd_validate(args) -> CommandResult:
-    spec = _load_spec(args.spec, _parse_field(args.field))
+def _cmd_validate(args, field: FieldSpec | None) -> CommandResult:
+    spec = _load_spec(args.spec, field)
     report = linjoin.validate(spec)
     return CommandResult("ok" if report.ok else "invalid", report.to_json())
 
 
-def _cmd_ideal(args) -> CommandResult:
-    spec = _load_spec(args.spec, _parse_field(args.field))
+def _cmd_ideal(args, field: FieldSpec | None) -> CommandResult:
+    spec = _load_spec(args.spec, field)
     if args.component is not None:
         handle = linjoin.component_ideal(spec, args.component)
     else:
@@ -237,28 +233,28 @@ def _cmd_ideal(args) -> CommandResult:
     return CommandResult("ok", handle.to_json())
 
 
-def _cmd_projdim(args) -> CommandResult:
-    spec = _load_spec(args.spec, _parse_field(args.field))
+def _cmd_projdim(args, field: FieldSpec | None) -> CommandResult:
+    spec = _load_spec(args.spec, field)
     return CommandResult("ok", {"projdim": linjoin.projdim(spec)})
 
 
-def _cmd_cd(args) -> CommandResult:
-    spec = _load_spec(args.spec, _parse_field(args.field))
+def _cmd_cd(args, field: FieldSpec | None) -> CommandResult:
+    spec = _load_spec(args.spec, field)
     result = linjoin.cohom_dim(spec)
     return CommandResult("ok", {"cd": result.value, "note": result.note})
 
 
-def _cmd_arabound(args) -> CommandResult:
+def _cmd_arabound(args, field: FieldSpec | None) -> CommandResult:
     if args.generic_columns is not None:
         facts = scroll.ara_bound_generic(args.generic_columns)
         return CommandResult("ok", {"ara": facts.ara, "projdim": facts.projdim})
-    spec = _load_spec(args.spec, _parse_field(args.field))
+    spec = _load_spec(args.spec, field)
     bound = linjoin.ara_upper_bound(spec)
     return CommandResult("ok", {"bound": bound, "projdim": linjoin.projdim(spec)})
 
 
-def _cmd_synth(args) -> CommandResult:
-    spec = _load_spec(args.spec, _parse_field(args.field))
+def _cmd_synth(args, field: FieldSpec | None) -> CommandResult:
+    spec = _load_spec(args.spec, field)
     certificate = synth.synthesize(spec, verify=not args.no_verify)
     payload = certificate.to_json()
     diagnostics = list(certificate.diagnostics) + _fp_diagnostics(spec.ring)
@@ -268,8 +264,8 @@ def _cmd_synth(args) -> CommandResult:
     return CommandResult("ok" if certificate.verified else "false", payload, diagnostics)
 
 
-def _cmd_verify(args) -> CommandResult:
-    spec = _load_spec(args.spec, _parse_field(args.field))
+def _cmd_verify(args, field: FieldSpec | None) -> CommandResult:
+    spec = _load_spec(args.spec, field)
     if args.gens_file is not None:
         gens = _from_file(args.gens_file, lambda doc: [
             parse(spec.ring, t) for t in json_list(doc, "polynomial strings")])
@@ -298,17 +294,17 @@ def _parse_basis(args) -> lattice_mod.LatticeBasis:
     ])
 
 
-def _cmd_lattice(args) -> CommandResult:
+def _cmd_lattice(args, field: FieldSpec | None) -> CommandResult:
     basis = _parse_basis(args)
-    ring = _ring_from_args(args, [f"x{i}" for i in range(1, basis.r + 1)])
+    ring = _ring_from_args(args, field, [f"x{i}" for i in range(1, basis.r + 1)])
     handle = lattice_mod.lattice_ideal(ring, basis)
     u = lattice_mod.nonnegative_vector(handle)
     diagnostics = [] if u is None else [f"lattice contains the nonnegative vector {u}"]
     return CommandResult("ok", {"ideal": handle.to_json()}, diagnostics)
 
 
-def _cmd_fibercheck(args) -> CommandResult:
-    spec = _load_spec(args.spec, _parse_field(args.field))
+def _cmd_fibercheck(args, field: FieldSpec | None) -> CommandResult:
+    spec = _load_spec(args.spec, field)
     verdict = lattice_mod.fiber_spec_check(spec)
     return CommandResult("ok" if verdict else "false", {"fiber_shape": verdict})
 
@@ -420,7 +416,7 @@ def run(argv) -> CommandResult:
         if math.isnan(timeout):  # no clock reading exceeds NaN: it would turn the deadline off
             raise ScrollstciError("timeout must be a number of seconds, not nan")
         with time_limit(timeout):
-            return args.handler(args)
+            return args.handler(args, _parse_field(args.field))
     except OracleTimeout:
         return CommandResult("error", {"message": "timed out"},
                              [f"computation exceeded {timeout} seconds"])

@@ -345,38 +345,27 @@ def _interreduce(pairs: list[tuple], pk: _Packing, field) -> list[tuple]:
 def _buchberger(seeds: list[dict], pk: _Packing, field, gb_prefix: int = 0) -> list[dict]:
     """Reduced Groebner basis of the ideal generated by the nonzero ``seeds``.
 
-    ``gb_prefix``: the first so-many seeds are already a reduced basis under
-    this order; pairs internal to them are skipped (their S-polynomials reduce
-    to zero by definition).  The unit ideal needs no case of its own: 1 (the
-    packed monomial 0) divides every leading monomial, so once it is in the
-    basis each pair left reduces to zero against it, and the final
-    interreduction returns [1].
+    ``gb_prefix``: the first so-many seeds are already a monic reduced basis
+    under this order.  They are the starting basis as given, with no pending
+    pair: a pair of a Groebner basis reduces to zero against it, so none of
+    theirs is formed (Gebauer & Moeller).  Only the other seeds go through
+    `_update`, in ascending order of their leading monomials.  The unit ideal
+    needs no case of its own: 1 (the packed monomial 0) divides every leading
+    monomial, so once it is in the basis each pair left reduces to zero
+    against it, and the final interreduction returns [1].
     """
     keyf = pk.key
-    prefix = []
-    rest = []
-    for i, s in enumerate(seeds):
-        (prefix if i < gb_prefix else rest).append((max(s, key=keyf), s))
+    polys = seeds[:gb_prefix]
+    lms = [max(p, key=keyf) for p in polys]
+    G = set(range(gb_prefix))
+    B: dict = {}
+    rest = [(max(s, key=keyf), s) for s in seeds[gb_prefix:]]
     if gb_prefix == 0:
         rest = _interreduce(rest, pk, field)
-    start = [(lm, _monic(p, lm, field)) for lm, p in prefix + rest]
-
-    polys: list[dict] = []
-    lms: list[int] = []
-    prefix_ids: set[int] = set()
-    G: set = set()
-    B: dict = {}
-    insert_order = sorted(range(len(start)), key=lambda i: keyf(start[i][0]))
-    for i in insert_order:
-        idx = len(polys)
-        lms.append(start[i][0])
-        polys.append(start[i][1])
-        if i < len(prefix):
-            prefix_ids.add(idx)
-        G, B = _update(G, B, idx, lms, pk)
-    if prefix_ids:
-        B = {pr: lcm for pr, lcm in B.items()
-             if not (pr[0] in prefix_ids and pr[1] in prefix_ids)}
+    for lm, p in sorted(rest, key=lambda t: keyf(t[0])):
+        lms.append(lm)
+        polys.append(_monic(p, lm, field))
+        G, B = _update(G, B, len(polys) - 1, lms, pk)
 
     # the next pair is the least (key of its lcm, pair); pairs that _update
     # dropped stay in the heap and are skipped when popped
@@ -530,24 +519,34 @@ def _rabinowitsch(ring: Ring, f: Polynomial) -> tuple[Ring, dict]:
     return ext, (ext.one() - ext.variable(ext.variables[0]) * transport(f, ext))._terms
 
 
-def _rabinowitsch_contains(I: IdealHandle, f: Polynomial) -> bool:
-    """1 in I + (1 - t*f) over the ring extended with a fresh variable t.
+def _grown(H: IdealHandle, ring: Ring, seeds: list[dict]) -> tuple[_Packing, list[dict]]:
+    """The packing and the reduced degrevlex basis of H + (seeds) over ``ring``.
 
-    The extension prepends t, which leaves degrevlex comparisons of t-free
-    monomials unchanged; the cached basis of I therefore stays a reduced basis
-    in the extended ring and is reused as a Buchberger prefix.  t takes the
-    lowest degrevlex field, so the packed basis, as wide as the run's packing,
-    only shifts up one field.
+    ``ring`` is H's ring or that ring with fresh first variables, and
+    ``seeds`` are exponent-tuple dicts over it.  Prepended variables leave
+    degrevlex comparisons of monomials free of them unchanged, and they take
+    the lowest degrevlex fields, so H's cached basis, packed as wide as the
+    run's packing and shifted up one field per fresh variable, is still a
+    reduced basis and starts Buchberger as its known prefix.
     """
-    pk, _ = I._packed_basis(DEGREVLEX)
-    ext, rab = _rabinowitsch(I.ring, f)
+    pk, _ = H._packed_basis(DEGREVLEX)
+    fresh = ring.arity - H.ring.arity
 
     def run(q: _Packing) -> list[dict]:
-        prefix = [{m << q.width: c for m, c in p.items()}
-                  for _, p in I._packed_basis(DEGREVLEX, q.bits)[1]]
-        return _buchberger(prefix + [q.pack(rab)], q, ext.field, gb_prefix=len(prefix))
+        prefix = [p for _, p in H._packed_basis(DEGREVLEX, q.bits)[1]]
+        if fresh:
+            shift = fresh * q.width
+            prefix = [{m << shift: c for m, c in p.items()} for p in prefix]
+        return _buchberger(prefix + [q.pack(s) for s in seeds], q, ring.field,
+                           gb_prefix=len(prefix))
 
-    _, basis = _packed(_packing(ext.arity, DEGREVLEX, pk.bits), [rab], run)
+    return _packed(_packing(ring.arity, DEGREVLEX, pk.bits), seeds, run)
+
+
+def _rabinowitsch_contains(I: IdealHandle, f: Polynomial) -> bool:
+    """1 in I + (1 - t*f) over the ring extended with a fresh first variable t."""
+    ext, rab = _rabinowitsch(I.ring, f)
+    _, basis = _grown(I, ext, [rab])
     return len(basis) == 1 and next(iter(basis[0])) == 0
 
 
@@ -557,17 +556,8 @@ _WITNESS_BOUND = 8
 
 def _extend(H: IdealHandle, polys: list[Polynomial]) -> IdealHandle:
     """H + (polys), its degrevlex basis grown from H's cached packed one."""
-    pk, _ = H._packed_basis(DEGREVLEX)
-    seeds = [p._terms for p in polys]
-
-    def run(q: _Packing) -> list[dict]:
-        prefix = [p for _, p in H._packed_basis(DEGREVLEX, q.bits)[1]]
-        return _buchberger(prefix + [q.pack(s) for s in seeds], q, H.ring.field,
-                           gb_prefix=len(prefix))
-
-    q, basis = _packed(pk, seeds, run)
     out = IdealHandle(H.ring, H.generators + tuple(polys))
-    out._remember(DEGREVLEX, q, basis)
+    out._remember(DEGREVLEX, *_grown(H, H.ring, [p._terms for p in polys]))
     return out
 
 

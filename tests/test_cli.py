@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -130,6 +131,14 @@ def test_minors_and_verdi_from_block(capsys):
     code, doc = invoke(capsys, "verdi", "--block", "x0,x1,x2,x3")
     assert code == 0
     assert doc["payload"]["F"] == ["x0*x2 - x1^2", "x0*x3^2 - 2*x1*x2*x3 + x2^3"]
+
+
+def test_verdi_refuses_a_two_block_scroll(tmp_path, capsys):
+    path = tmp_path / "two-blocks.json"
+    path.write_text(json.dumps({"ring": {"vars": ["x", "y", "z", "w"]},
+                                "blocks": [{"entries": ["x", "y"]}, {"entries": ["z", "w"]}]}))
+    code, doc = invoke(capsys, "verdi", str(path))
+    assert code == 2 and doc["payload"]["message"] == "Verdi generators take a single block"
 
 
 def test_classify(tmp_path, capsys):
@@ -535,6 +544,35 @@ def test_unreadable_path_is_bad_input(tmp_path, capsys):
         assert doc["diagnostics"] == []
 
 
+def _pinned_spec(tmp_path, name):
+    """The spec of case ``name`` in the validate list of spec_outputs.json, as a file."""
+    cases = json.loads((Path(__file__).resolve().parent / "spec_outputs.json").read_text())
+    spec, = (case["spec"] for case in cases["validate"] if case["name"] == name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def test_synth_reports_generators_outside_the_intersection(tmp_path, capsys):
+    code, doc = invoke(capsys, "synth", _pinned_spec(tmp_path, "random-119"))
+    payload = doc["payload"]
+    assert code == 1 and doc["status"] == "false"
+    assert (payload["count"], payload["projdim"], payload["verified"]) == (5, 4, False)
+    assert payload["diagnostics"][0] == "generator count 5 differs from projective dimension 4"
+    outside = [d for d in payload["diagnostics"]
+               if d.startswith("generator outside the intersection: ")]
+    assert outside == [f"generator outside the intersection: {payload['generators'][i]}"
+                       for i in (2, 4)]
+
+
+def test_synth_reports_a_count_above_projdim_and_still_verifies(tmp_path, capsys):
+    code, doc = invoke(capsys, "synth", _pinned_spec(tmp_path, "random-15"))
+    payload = doc["payload"]
+    assert code == 0 and payload["verified"] is True
+    assert (payload["generators"], payload["count"], payload["projdim"]) == (["x1^2"], 1, 0)
+    assert payload["diagnostics"] == ["generator count 1 differs from projective dimension 0"]
+
+
 def test_synth_refuses_multi_block_specs(capsys):
     code, doc = invoke(capsys, "synth", str(FIXTURES_DIR / "example-qprime.json"))
     assert code == 2 and doc["status"] == "error"
@@ -667,6 +705,27 @@ def test_field_override(tmp_path, capsys):
     code, doc = invoke(capsys, "--field", "Fp=7", "gb", path)
     assert code == 0
     assert doc["payload"]["basis"] == ["x^2 + 6*y"]
+
+
+@pytest.mark.parametrize("field, message", [
+    ("bogus", "bad field 'bogus'; use QQ or Fp=p"),
+    ("Fp=4", "modulus must be prime, got 4"),
+])
+def test_a_bad_field_is_refused_by_a_command_that_loads_no_file(capsys, field, message):
+    code, doc = invoke(capsys, "--field", field, "arabound", "--generic-columns", "4")
+    assert code == 2 and doc["payload"]["message"] == message
+
+
+def test_an_explicit_rational_field_equals_no_flag():
+    curve = str(FIXTURES_DIR / "example-curve-1.json")
+    for argv in (["validate", curve], ["synth", curve], ["lattice", "--basis", "1,-2,1"],
+                 ["verdi", "--block", "x0,x1,x2,x3"]):
+        assert run(["--field", "QQ", *argv]).to_json() == run(argv).to_json()
+
+
+def test_a_bad_field_is_named_before_the_rest_of_the_input(capsys):
+    code, doc = invoke(capsys, "--field", "bogus", "lattice", "--basis", "1,x")
+    assert code == 2 and doc["payload"]["message"] == "bad field 'bogus'; use QQ or Fp=p"
 
 
 def test_prime_field_verdicts_carry_a_characteristic_flag(tmp_path, capsys):

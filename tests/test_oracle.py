@@ -172,6 +172,25 @@ def test_ring_mismatch():
         radical_equal(ideal(R3, "x"), ideal(R2, "x"))
 
 
+def test_the_oracle_refuses_malformed_calls():
+    with pytest.raises(ScrollstciError, match="parse first"):
+        IdealHandle(R2, ["x"])
+    with pytest.raises(ScrollstciError, match="cannot eliminate unknown variable 'w'"):
+        eliminate(ideal(R2, "x*y"), ["w"])
+    with pytest.raises(RingMismatchError, match="polynomial lives in a different ring"):
+        saturate(ideal(R2, "x*y"), parse(R3, "x"))
+    with pytest.raises(RingMismatchError, match="ideals live in different rings"):
+        intersect(ideal(R2, "x"), ideal(R3, "x"))
+    with pytest.raises(ScrollstciError, match="cannot intersect an empty list of ideals"):
+        intersect_many([])
+
+
+def test_eliminate_no_variables_keeps_the_ideal():
+    I = ideal(R2, "x*y", "x^2 - y")
+    out = eliminate(I, [])
+    assert out.ring == I.ring and out.generators == I.generators
+
+
 # --- radical membership -------------------------------------------------------------
 
 def test_radical_member_square():
@@ -303,11 +322,13 @@ def test_radical_chain_replays_verdi_width_4():
 
 
 def test_extend_matches_fresh_basis():
-    I = ideal(R3, "x^2 - y*z", "y^3")
-    more = [parse(R3, "x*y - z^2"), parse(R3, "z^3 + x")]
-    grown = _extend(I, more)
-    assert grown.groebner_basis() == ideal(R3, "x^2 - y*z", "y^3", "x*y - z^2",
-                                           "z^3 + x").groebner_basis()
+    for field in (QQ, Fp(7)):
+        ring = Ring(R3.variables, field)
+        for gens, more in ((("x^2 - y*z", "y^3"), ("x*y - z^2", "z^3 + x")),
+                           # seeds of lower degree than the basis
+                           (("x^3 - y^2*z", "y^4 - x*z^3"), ("x - 2*y", "z^2 + x"))):
+            grown = _extend(ideal(ring, *gens), [parse(ring, g) for g in more])
+            assert grown.groebner_basis() == ideal(ring, *gens, *more).groebner_basis()
 
 
 def test_extend_by_high_degree_polynomials_repacks_the_cached_basis_wider():
@@ -926,22 +947,22 @@ def _reference_update(G, B, ih, lms):
 
 def _reference_pairs(seeds, arity, order, field, gb_prefix=0):
     """Leading monomials of the pairs Buchberger reduces, in order, when the
-    next pair is the min over a set by (key of its lcm, pair); and the basis."""
+    next pair is the min over a set by (key of its lcm, pair); and the basis.
+    The first ``gb_prefix`` seeds, a monic reduced basis, start the basis with
+    no pair; the other seeds enter by the update in ascending order."""
     keyf = order.key()
-    start = [(max(s, key=keyf), s) for s in seeds]
+    polys = seeds[:gb_prefix]
+    lms = [max(p, key=keyf) for p in polys]
+    G, B, seen = set(range(gb_prefix)), set(), []
+    start = [(max(s, key=keyf), s) for s in seeds[gb_prefix:]]
     if gb_prefix == 0:
         start = _interreduce(start, order, field)
     if any(not any(lm) for lm, _ in start):
         return [], [{(0,) * arity: field.one}]
-    start = [(lm, _monic(p, lm, field)) for lm, p in start]
-    lms, polys, G, B, seen, prefix_ids = [], [], set(), set(), [], set()
-    for i in sorted(range(len(start)), key=lambda i: keyf(start[i][0])):
-        if i < gb_prefix:
-            prefix_ids.add(len(lms))
-        lms.append(start[i][0])
-        polys.append(start[i][1])
+    for lm, p in sorted(start, key=lambda t: keyf(t[0])):
+        lms.append(lm)
+        polys.append(_monic(p, lm, field))
         G, B = _reference_update(G, B, len(lms) - 1, lms)
-    B = {(i, j) for (i, j) in B if not (i in prefix_ids and j in prefix_ids)}
     while B:
         i, j = pr = min(B, key=lambda pr: (keyf(tuple(map(max, lms[pr[0]], lms[pr[1]]))), pr))
         B.discard(pr)
@@ -971,6 +992,10 @@ def _pair_cases():
     basis = [dict(g._terms) for g in IdealHandle(ring, minors_2x2(block)).groebner_basis()]
     extra = dict(parse(ring, "x1^2 + x2*x4 - x0*x5")._terms)
     yield basis + [extra], 6, DEGREVLEX, QQ, len(basis)  # a reduced prefix, as _extend seeds it
+    # here the pairs reduced depend on how the prefix enters: as the starting
+    # basis, 21; inserted by the update with its inner pairs dropped after, 23
+    extra = dict(parse(ring, "x4*x5 + x3^2")._terms)
+    yield basis + [extra], 6, DEGREVLEX, QQ, len(basis)
 
 
 def test_buchberger_reduces_pairs_in_the_order_of_the_set_reference(monkeypatch):
@@ -988,6 +1013,24 @@ def test_buchberger_reduces_pairs_in_the_order_of_the_set_reference(monkeypatch)
         monkeypatch.setattr(oracle, "_spoly", real_spoly)
         assert got == want
         assert [list(p.items()) for p in basis] == [list(p.items()) for p in want_basis]
+
+
+def test_buchberger_forms_no_pair_inside_a_known_basis(monkeypatch):
+    ring = Ring(tuple(f"x{i}" for i in range(6)))
+    block = ScrollBlock(tuple(ring.variable(v) for v in ring.variables))
+    basis = [dict(g._terms) for g in IdealHandle(ring, minors_2x2(block)).groebner_basis()]
+    calls = []
+    for name in ("_update", "_spoly"):
+        real = getattr(oracle, name)
+
+        def recording(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(oracle, name, recording)
+    got = _buchberger(basis, 6, DEGREVLEX, QQ, gb_prefix=len(basis))
+    assert calls == []
+    assert [list(p.items()) for p in got] == [list(p.items()) for p in basis]
 
 
 _ORDERS = [LEX, DEGLEX, DEGREVLEX, block_order(1), block_order(2)]
