@@ -127,7 +127,9 @@ class _Packing:
         if order.kind == "deglex":
             tail, head, negate = range(arity - 1, -1, -1), (), False
         else:
-            k = arity if order.kind == "lex" else min(order.block, arity)
+            k = arity if order.kind == "lex" else order.block
+            if k > arity:
+                raise ScrollstciError(f"block prefix {k} exceeds the ring's {arity} variables")
             tail, head, negate = range(k, arity), range(k - 1, -1, -1), True
         width = 2 * bits
         shifts = [0] * arity

@@ -220,7 +220,8 @@ class Ring:
     """A polynomial ring: an ordered tuple of variable names over a field.
 
     Declaration order is precedence: the leftmost variable is the largest in
-    every supported term order.
+    every supported term order.  ``_index`` (name -> position) and ``_units``
+    (each variable's exponent tuple) are plain attributes, built once.
     """
 
     variables: tuple[str, ...]
@@ -234,6 +235,9 @@ class Ring:
         if len(set(self.variables)) != len(self.variables):
             raise ScrollstciError("variable names must be unique")
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.variables)})
+        n = len(self.variables)
+        object.__setattr__(self, "_units", tuple((0,) * i + (1,) + (0,) * (n - 1 - i)
+                                                 for i in range(n)))
 
     @property
     def arity(self) -> int:
@@ -258,9 +262,8 @@ class Ring:
         return Polynomial._make(self, {(0,) * self.arity: c})
 
     def variable(self, name: str) -> "Polynomial":
-        exps = [0] * self.arity
-        exps[self.index(name)] = 1
-        return Polynomial._make(self, {tuple(exps): self.field.one})
+        unit = self._units[self.index(name)]  # type: ignore[attr-defined]
+        return Polynomial._make(self, {unit: self.field.one})
 
     def monomial(self, exponents: Sequence[int], coeff=1) -> "Polynomial":
         return Polynomial(self, {tuple(exponents): coeff})
@@ -341,8 +344,8 @@ def block_order(prefix_size: int) -> TermOrder:
 def order_from_string(text: str) -> TermOrder:
     """``block:<digits>`` or the name of an order; `TermOrder` refuses the rest.
 
-    A bare ``block`` is refused too: its prefix size would be 0, an
-    elimination order that eliminates nothing.
+    A bare ``block`` is refused too: it names no prefix size.  (``block:0``
+    is accepted and orders as degrevlex.)
     """
     m = re.fullmatch(r"block:([0-9]+)", text)
     if m:
@@ -693,7 +696,7 @@ def parse(ring: Ring, text: str) -> Polynomial:
         raise ParseError(f"unexpected character at {found[-1][1]!r}")
     toks = [tok for tok, _ in found] + [""]  # "" ends the text; nothing reads past it
     field = ring.field
-    index = ring._index  # type: ignore[attr-defined]
+    index, units = ring._index, ring._units  # type: ignore[attr-defined]
     zero = (0,) * ring.arity
     stack: list = []
     acc: dict = {}  # the sum of the finished terms
@@ -704,8 +707,7 @@ def parse(ring: Ring, text: str) -> Polynomial:
         tok = toks[i]
         i += 1
         if tok in index:
-            k = index[tok]
-            value = {zero[:k] + (1,) + zero[k + 1:]: field.one}
+            value = {units[index[tok]]: field.one}
         elif tok == "(":
             if len(stack) == _MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}")
@@ -784,25 +786,11 @@ def _linear_row(p: Polynomial) -> dict:
     return row
 
 
-def linear_coeffs(p: Polynomial) -> tuple:
-    """Coefficient vector of a linear form, one scalar per ring variable."""
-    out = [p.ring.field.zero] * p.ring.arity
-    for i, coeff in _linear_row(p).items():
-        out[i] = coeff
-    return tuple(out)
-
-
 def linear_form(ring: Ring, coeffs: Sequence) -> Polynomial:
     if len(coeffs) != ring.arity:
         raise ScrollstciError("coefficient vector length must equal ring arity")
-    terms = {}
-    for i, c in enumerate(coeffs):
-        c = ring.field.coerce(c)
-        if c != 0:
-            exps = [0] * ring.arity
-            exps[i] = 1
-            terms[tuple(exps)] = c
-    return Polynomial._make(ring, terms)
+    units, coerce = ring._units, ring.field.coerce  # type: ignore[attr-defined]
+    return Polynomial._make(ring, {u: c for u, c in zip(units, map(coerce, coeffs)) if c != 0})
 
 
 def proportional(f: Polynomial, g: Polynomial):
@@ -810,16 +798,15 @@ def proportional(f: Polynomial, g: Polynomial):
     f._check_ring(g)
     if g.is_zero():
         return None
-    cf, cg = linear_coeffs(f), linear_coeffs(g)
-    field = f.ring.field
-    pivot = next(i for i, c in enumerate(cg) if c != 0)
-    if cf[pivot] == 0 and not f.is_zero():
+    rf, rg = _linear_row(f), _linear_row(g)
+    if not rf:
+        return f.ring.field.zero
+    if rf.keys() != rg.keys():
         return None
-    alpha = field.div(cf[pivot], cg[pivot]) if cf[pivot] != 0 else field.zero
-    for a, b in zip(cf, cg):
-        if a != field.mul(alpha, b):
-            return None
-    return alpha
+    field = f.ring.field
+    pivot = min(rg)
+    alpha = field.div(rf[pivot], rg[pivot])
+    return alpha if all(c == field.mul(alpha, rg[i]) for i, c in rf.items()) else None
 
 
 class LinearSpan:
@@ -835,13 +822,13 @@ class LinearSpan:
 
     def __init__(self, ring: Ring, forms: Iterable[Polynomial]):
         self.ring = ring
-        self.forms = tuple(forms)
-        for f in self.forms:
+        forms = tuple(forms)
+        for f in forms:
             if f.ring != ring:
                 raise RingMismatchError("span forms must live in the given ring")
         field = ring.field
         self._rows: dict[int, dict] = {}
-        for f in self.forms:
+        for f in forms:
             row = self._reduce(_linear_row(f))
             if not row:
                 continue
@@ -877,9 +864,8 @@ class LinearSpan:
         """The component of ``form`` off this span (zero iff contained)."""
         self._check_ring(form)
         row = self._reduce(_linear_row(form))
-        n = self.ring.arity
-        return Polynomial._make(self.ring, {(0,) * i + (1,) + (0,) * (n - 1 - i): row[i]
-                                            for i in sorted(row)})
+        units = self.ring._units  # type: ignore[attr-defined]
+        return Polynomial._make(self.ring, {units[i]: row[i] for i in sorted(row)})
 
     def contains(self, form: Polynomial) -> bool:
         self._check_ring(form)

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+from .oracle import IdealHandle
 from .poly import (
     LinearSpan,
     Polynomial,
@@ -398,6 +399,8 @@ def replay_classification(matrix: ScrollMatrix, delta: Sequence[Polynomial],
                           result: ScrollClassification) -> bool:
     """Machine-check the witnesses a classification asserts.
 
+    A non-containment needs a witness that is a 2x2 minor of ``matrix`` and
+    lies outside (Delta) by a normal form, not by the residuals that found it.
     Row containments are rank checks against span(Delta); the H/alpha cases
     need one witness per block, in block order, whose H lies off the span with
     a nonzero alpha and L_j - alpha^j H in the span (or, with no H, the whole
@@ -405,7 +408,9 @@ def replay_classification(matrix: ScrollMatrix, delta: Sequence[Polynomial],
     """
     span = LinearSpan(matrix.ring, delta)
     if result.case == "not_contained":
-        return result.witness_minor is not None
+        witness = result.witness_minor
+        return (witness in minors_2x2(matrix)
+                and not IdealHandle(matrix.ring, delta).contains(witness))
     if result.case in ("row_in_delta", "generic_line"):
         return span.contains_all(matrix.row(result.row))
     if result.case in ("block_in_delta", "generic_column_deleted"):

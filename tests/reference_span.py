@@ -7,7 +7,8 @@ its polynomial back with `linear_form`.  `scrollstci.poly.LinearSpan` must
 give the same rank, the same membership verdicts and the same residuals, with
 the same coefficient classes and term order, and the same exception type and
 message on bad input; `tests/test_span_differential.py` checks it against
-this one.
+this one.  `proportional` is the dense test of f == a*g that
+`scrollstci.poly.proportional` replaced, checked there the same way.
 """
 
 from typing import Iterable
@@ -31,6 +32,23 @@ def linear_coeffs(p: Polynomial) -> tuple:
     for mono, coeff in p._terms.items():
         out[mono.index(1)] = coeff
     return tuple(out)
+
+
+def proportional(f: Polynomial, g: Polynomial):
+    """Scalar a with f == a*g, or None when no such scalar exists."""
+    f._check_ring(g)
+    if g.is_zero():
+        return None
+    cf, cg = linear_coeffs(f), linear_coeffs(g)
+    field = f.ring.field
+    pivot = next(i for i, c in enumerate(cg) if c != 0)
+    if cf[pivot] == 0 and not f.is_zero():
+        return None
+    alpha = field.div(cf[pivot], cg[pivot]) if cf[pivot] != 0 else field.zero
+    for a, b in zip(cf, cg):
+        if a != field.mul(alpha, b):
+            return None
+    return alpha
 
 
 def _rref(rows: list[list], field: FieldSpec) -> tuple[list[list], list[int]]:

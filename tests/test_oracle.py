@@ -185,6 +185,16 @@ def test_the_oracle_refuses_malformed_calls():
         intersect_many([])
 
 
+def test_a_block_order_wider_than_the_ring_is_refused():
+    I = ideal(R3, "x^2 - y", "y*z - x")
+    message = "^block prefix 4 exceeds the ring's 3 variables$"
+    with pytest.raises(ScrollstciError, match=message):
+        I.groebner_basis(block_order(4))
+    with pytest.raises(ScrollstciError, match=message):
+        I.normal_form(parse(R3, "x*z"), block_order(4))
+    assert I.groebner_basis(block_order(3)) == I.groebner_basis(LEX)
+
+
 def test_eliminate_no_variables_keeps_the_ideal():
     I = ideal(R2, "x*y", "x^2 - y")
     out = eliminate(I, [])
@@ -1041,6 +1051,10 @@ def test_packed_monomials_compute_what_exponent_tuples_do(order):
     rng = random.Random(53)
     keyf = order.key()
     for arity in range(1, 6):
+        if order.block > arity:
+            with pytest.raises(ScrollstciError, match="exceeds the ring's 1 variables"):
+                oracle._packing(arity, order, 8)
+            continue
         pk = oracle._packing(arity, order, 8)
         monos = [tuple(rng.choice((0, 0, 1, 2, 127, 128, 255)) for _ in range(arity))
                  for _ in range(40)]

@@ -25,7 +25,6 @@ from scrollstci.poly import (
     block_order,
     format_poly,
     is_linear_form,
-    linear_coeffs,
     linear_form,
     linear_span_dim,
     parse,
@@ -411,10 +410,21 @@ def test_proportional():
     assert proportional(g, parse(ring, "a + b")) is None
 
 
-def test_linear_coeffs_rejects_nonlinear():
-    with pytest.raises(ScrollstciError):
-        linear_coeffs(P("x^2"))
-    assert linear_coeffs(P("x - 3*y")) == (1, -3)
+def test_every_linear_form_is_built_from_the_same_unit_monomials():
+    # a variable, and a form written in ascending variable order, come out of
+    # every builder with the same terms in the same order
+    ring = Ring(("a", "b", "c", "d"), Fp(7))
+    span = LinearSpan(ring, [])
+    for i, name in enumerate(ring.variables):
+        unit = [0] * ring.arity
+        unit[i] = 1
+        for p in (ring.variable(name), parse(ring, name), span.residual(parse(ring, name)),
+                  linear_form(ring, unit)):
+            assert list(p._terms.items()) == [(tuple(unit), 1)]
+    form = parse(ring, "3*a + b - 2*d")
+    for p in (span.residual(form), linear_form(ring, [3, 1, 0, -2])):
+        assert list(p._terms.items()) == list(form._terms.items()) == \
+            [((1, 0, 0, 0), 3), ((0, 1, 0, 0), 1), ((0, 0, 0, 1), 5)]
 
 
 # --- canonical scalars ------------------------------------------------------------

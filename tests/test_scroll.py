@@ -387,6 +387,24 @@ def test_replay_refuses_witness_lists_that_skip_blocks():
                                   forms=(ring.variable("h"), ring.variable("k")))
     assert not replay_classification(columns, delta, forged)
 
+
+def test_replay_of_a_non_containment_checks_its_witness():
+    # the minor x*z - y^2 lies in (x, y): the block is contained, row 1 in Delta
+    ring = Ring(("x", "y", "z"))
+    block = ScrollMatrix((var_block(ring, "x", "y", "z"),))
+    x, y = ring.variable("x"), ring.variable("y")
+    assert classify_modulo(block, [x, y]).case == "row_in_delta"
+    forged = ScrollClassification(case="not_contained", witness_minor=x ** 2)
+    assert not replay_classification(block, [x, y], forged)
+    # against (x) the minor is outside; y^2 is outside too, but no minor of the block
+    genuine = classify_modulo(block, [x])
+    assert genuine.case == "not_contained"
+    assert replay_classification(block, [x], genuine)
+    assert not IdealHandle(ring, [x]).contains(y ** 2)
+    stranger = ScrollClassification(case="not_contained", witness_minor=y ** 2)
+    assert not replay_classification(block, [x], stranger)
+    assert not replay_classification(block, [x], ScrollClassification(case="not_contained"))
+
 def test_scroll_json_round_trip():
     ring = Ring(("x0", "x1", "x2", "u"))
     block = ScrollBlock((parse(ring, "x0"), parse(ring, "x1 - u"), parse(ring, "x2")))

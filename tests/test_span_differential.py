@@ -1,9 +1,10 @@
-"""`poly.LinearSpan` against the dense span it replaced, and the residual's
-independence of the list that gave the span.
+"""`poly.LinearSpan` and `poly.proportional` against the dense code they
+replaced, and the residual's independence of the list that gave the span.
 
 Both spans must give the same rank, the same membership verdicts and the same
 residuals (the same terms in the same order, with the same coefficient
-classes), or raise the same exception with the same message.
+classes), or raise the same exception with the same message; both tests of
+proportionality the same scalar, of the same class, or the same None or error.
 """
 
 from hypothesis import given, seed, settings, strategies as st
@@ -16,9 +17,11 @@ from scrollstci.poly import (
     Polynomial,
     Ring,
     RingMismatchError,
+    ScrollstciError,
     is_linear_form,
     linear_form,
     parse,
+    proportional,
 )
 
 FIELDS = [QQ, Fp(2), Fp(5)]
@@ -72,14 +75,14 @@ def bad_or_good(draw, ring):
 
 def outcome(step):
     """A residual's terms in order with their coefficient classes, any other
-    value as it is, or the exception's class and message."""
+    value with its class, or the exception's class and message."""
     try:
         value = step()
     except Exception as exc:  # the outcome compared is the exception itself
         return "raised", type(exc), str(exc)
     if isinstance(value, Polynomial):
         return "residual", [(m, c, type(c)) for m, c in value._terms.items()]
-    return "value", value
+    return "value", value, type(value)
 
 
 def steps(span_class, ring, span_forms, queries):
@@ -148,3 +151,54 @@ def test_a_residual_depends_only_on_the_span(field, data):
             assert s.contains(q) == s.residual(q).is_zero()
             assert s.contains(q - s.residual(q))
     assert span.contains_all(base) and padded_span.contains_all(base)
+
+
+PROPORTIONAL_RINGS = [Ring(NAMES, QQ), Ring(NAMES, Fp(7))]
+
+
+@st.composite
+def proportional_pairs(draw, ring):
+    """(f, g): g a linear form, zero or not, or a polynomial that is not one; f
+    a multiple of g, zero, another form or a polynomial that is not linear."""
+    def form_or_not():
+        if draw(st.integers(0, 4)) == 0:
+            return parse(ring, draw(st.sampled_from(NOT_LINEAR)))
+        return draw(forms(ring))
+
+    g = form_or_not()
+    kind = draw(st.sampled_from(["multiple", "multiple", "zero", "other"]))
+    if kind == "zero":
+        return ring.zero(), g
+    if kind == "multiple" and is_linear_form(g):
+        f = g * draw(scalars(ring.field))
+        # spoil one coefficient now and then: same support, no longer a multiple
+        if draw(st.booleans()):
+            f = f + draw(forms(ring))
+        return f, g
+    return form_or_not(), g
+
+
+@seed(20261020)
+@settings(max_examples=600, deadline=None, database=None)
+@given(st.sampled_from(PROPORTIONAL_RINGS), st.data())
+def test_proportional_matches_the_dense_test(ring, data):
+    f, g = data.draw(proportional_pairs(ring))
+    assert outcome(lambda: proportional(f, g)) == \
+        outcome(lambda: reference_span.proportional(f, g))
+
+
+def test_proportional_checks_in_the_dense_order():
+    # the ring first, then a zero g answers None before any form is read, then
+    # f is read before g
+    ring = PROPORTIONAL_RINGS[0]
+    square, cube = parse(ring, "a^2"), parse(ring, "b^3")
+    cases = [(square, OTHER_RINGS[QQ].variable("a")), (square, ring.zero()),
+             (square, cube), (ring.zero(), cube), (ring.variable("a"), cube)]
+    got = [outcome(lambda: proportional(f, g)) for f, g in cases]
+    assert got == [outcome(lambda: reference_span.proportional(f, g)) for f, g in cases]
+    assert [o[:2] for o in got] == [
+        ("raised", RingMismatchError), ("value", None),
+        ("raised", ScrollstciError), ("raised", ScrollstciError),
+        ("raised", ScrollstciError)]
+    assert [o[2] for o in got[2:]] == ["not a linear form: a^2", "not a linear form: b^3",
+                                       "not a linear form: b^3"]
