@@ -18,7 +18,8 @@ bits are not clear has outgrown its fields; `_packed` then runs again with
 fields twice as wide, so no input is refused for its exponents and every
 result is the one an unbounded representation would give.  Polynomials,
 parsing, printing, linear algebra and the Hilbert recursion keep exponent
-tuples.
+tuples; the radical chain packs each open generator once per sweep and
+multiplies its powers packed.
 
 The kernels keep their state rather than recompute it.  Pending pairs
 map to the lcm of their leading monomials, computed once when the pair is
@@ -27,15 +28,21 @@ pair); pairs the criteria drop later stay in the heap and are skipped when
 popped.  A normal form keeps the terms still to reduce in a heap, largest
 first, so taking the leading term costs a logarithm, not a scan of them all.
 
+Membership, each link of the radical chain and each reduction `_certify`
+replays are zero tests: the reduction stops at the first term no leading
+monomial divides, which is the leading term of the normal form, so a
+failing test builds no remainder, while a passing one still reduces all the
+way to zero.  Only `normal_form` builds the whole remainder.
+
 Radical membership and radical equality share one witness search, the
 radical chain (the Schmitt-Vogel device behind Verdi's generators).  To put
 f_1, ..., f_n in rad(I) it grows an ideal H, starting at H = I, and certifies
-links f_j^{k_j} in H, each a plain normal-form test; generators certified
-with k_j > 1 join H in batches, so later links may use them, and
-rad(H) = rad(I) throughout.  A generator no power up to ``_WITNESS_BOUND``
-closes is decided by the Rabinowitsch trick (1 in H + (1 - t*f_j)) against
-the current H: that is the fallback for long links and the chain's only
-route to a negative verdict.
+links f_j^{k_j} in H, each a zero test of the packed power against H's
+cached basis; generators certified with k_j > 1 join H in batches, so later
+links may use them, and rad(H) = rad(I) throughout.  A generator no power up
+to ``_WITNESS_BOUND`` closes is decided by the Rabinowitsch trick
+(1 in H + (1 - t*f_j)) against the current H: that is the fallback for long
+links and the chain's only route to a negative verdict.
 
 Radical equality first compares Krull dimensions, since rad(I) = rad(J)
 forces dim S/I = dim S/J: ideals whose dimensions differ are unequal without
@@ -180,14 +187,14 @@ class _Packing:
 _packing = cache(_Packing)  # the one write-once memo: one packing per (arity, order, bits)
 
 
-def _packed(pk: _Packing, polys, run):
+def _packed(pk: _Packing, polys, run, power: int = 1):
     """``(q, run(q))`` for the narrowest packing ``q`` of ``pk``'s arity and
     order, at least as wide as ``pk``, whose exponents reach twice the largest
-    degree in ``polys`` (exponent tuples) and whose fields can sum ``arity``
-    exponents; each `_Overflow` doubles the width and runs ``run`` again,
-    which computes the same result."""
+    degree in ``polys`` (exponent tuples) raised to ``power`` and whose fields
+    can sum ``arity`` exponents; each `_Overflow` doubles the width and runs
+    ``run`` again, which computes the same result."""
     bits = pk.bits
-    need = max([pk.arity] + [2 * max(map(sum, p), default=0) for p in polys])
+    need = max([pk.arity] + [2 * power * max(map(sum, p), default=0) for p in polys])
     while 1 << bits <= need:
         bits *= 2
     while True:
@@ -209,7 +216,8 @@ def _monic(p: dict, lm, field) -> dict:
     return {m: field.mul(inv, v) for m, v in p.items()}
 
 
-def _reduce_full(p: dict, reducers: list[tuple], pk: _Packing, field) -> dict:
+def _reduce_full(p: dict, reducers: list[tuple], pk: _Packing, field,
+                 zero_test: bool = False) -> dict:
     """Full normal form of p modulo monic reducers (every term reduced).
 
     ``reducers`` are ``(lm, poly)`` pairs in ascending order of ``lm``; each
@@ -219,6 +227,12 @@ def _reduce_full(p: dict, reducers: list[tuple], pk: _Packing, field) -> dict:
     is skipped.  The descending key d = 2*(m & neg) - m gives m back as
     2*(d & neg) - d, since m & neg and d & neg agree.  Terms enter the
     result in descending order, so its first key is its leading monomial.
+
+    A term that no reducer divides is final, and every term still in the
+    heap is smaller, so the first such term is the normal form's leading
+    term.  With ``zero_test`` the loop returns that term alone: the result is
+    empty iff the normal form is zero, and an empty result took every step
+    the full normal form takes.
     """
     neg, guard = pk.neg, pk.guard
     work = dict(p)
@@ -239,6 +253,8 @@ def _reduce_full(p: dict, reducers: list[tuple], pk: _Packing, field) -> dict:
             if (high - lm) & guard == guard:
                 break
         else:
+            if zero_test:
+                return {m: c}
             out[m] = c
             continue
         shift = m - lm
@@ -354,7 +370,10 @@ def _buchberger(seeds: list[dict], pk: _Packing, field, gb_prefix: int = 0) -> l
     `_update`, in ascending order of their leading monomials.  The unit ideal
     needs no case of its own: 1 (the packed monomial 0) divides every leading
     monomial, so once it is in the basis each pair left reduces to zero
-    against it, and the final interreduction returns [1].
+    against it, and the final interreduction returns [1].  Without a prefix
+    the seeds are interreduced first; if no pair then leaves a nonzero
+    remainder, they are a Groebner basis and already reduced, so they are
+    returned as they are, with no second interreduction.
     """
     keyf = pk.key
     polys = seeds[:gb_prefix]
@@ -398,6 +417,8 @@ def _buchberger(seeds: list[dict], pk: _Packing, field, gb_prefix: int = 0) -> l
                 heappush(queue, (keyf(lcm), pr))
         reducers = None
 
+    if gb_prefix == 0 and len(polys) == len(rest):
+        return [p for _, p in rest]
     return [p for _, p in _interreduce([(lms[g], polys[g]) for g in G], pk, field)]
 
 
@@ -453,16 +474,22 @@ class IdealHandle:
         ``order``; an entry already there is kept and returned."""
         return self._packed.setdefault(order, (pk, [(next(iter(p)), p) for p in reversed(basis)]))
 
-    def normal_form(self, f: Polynomial, order: TermOrder = DEGREVLEX) -> Polynomial:
+    def _reduced(self, f: Polynomial, order: TermOrder, zero_test: bool) -> tuple[_Packing, dict]:
         if f.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
         field = self.ring.field
-        q, r = _packed(self._packed_basis(order)[0], [f._terms], lambda q: _reduce_full(
-            q.pack(f._terms), self._packed_basis(order, q.bits)[1], q, field))
+        return _packed(self._packed_basis(order)[0], [f._terms], lambda q: _reduce_full(
+            q.pack(f._terms), self._packed_basis(order, q.bits)[1], q, field, zero_test))
+
+    def normal_form(self, f: Polynomial, order: TermOrder = DEGREVLEX) -> Polynomial:
+        q, r = self._reduced(f, order, False)
         return Polynomial._make(self.ring, q.unpack(r))
 
     def contains(self, f: Polynomial) -> bool:
-        return self.normal_form(f).is_zero()
+        """f in the ideal: its degrevlex normal form is zero, decided by the
+        zero test of `_reduce_full`, which stops at a nonzero normal form's
+        leading term and builds no remainder."""
+        return not self._reduced(f, DEGREVLEX, True)[1]
 
     def hilbert_numerator(self) -> tuple[int, ...]:
         """N(T) with HS(S/LT(I)) = N(T)/(1-T)^n, LT taken in degrevlex."""
@@ -563,38 +590,87 @@ def _extend(H: IdealHandle, polys: list[Polynomial]) -> IdealHandle:
     return out
 
 
+def _times(a: dict, b: dict, pk: _Packing, field) -> dict:
+    """a*b on packed monomials, the deadline checked once per term of a."""
+    fadd, fmul = field.add, field.mul
+    deadline = _DEADLINE.get()
+    out: dict = {}
+    for ma, ca in a.items():
+        _check_deadline(deadline)
+        for mb, cb in b.items():
+            m = ma + mb
+            c = fmul(ca, cb)
+            acc = out.get(m)
+            if acc is None:
+                out[m] = c
+            else:
+                s = fadd(acc, c)
+                if s == 0:
+                    del out[m]
+                else:
+                    out[m] = s
+    if reduce(or_, out, 0) & pk.guard:
+        raise _Overflow
+    return out
+
+
+def _sweep(H: IdealHandle, pending: list[Polynomial]) -> tuple[list, list]:
+    """One sweep of the radical chain: the links ``(g, k)`` it certifies, in
+    order, and the generators of ``pending`` it leaves open.
+
+    Levels k = 1.._WITNESS_BOUND test g^k in H for every open g, by the zero
+    test against H's cached degrevlex reducers; the sweep ends after the
+    first level k > 1 that closes a generator, or once none is open.  Each
+    generator is packed once, wide enough for its power at the bound, and
+    its powers are multiplied packed.
+    """
+    field = H.ring.field
+
+    def run(q: _Packing) -> tuple[list, list]:
+        reducers = H._packed_basis(DEGREVLEX, q.bits)[1]
+        packed = [q.pack(g._terms) for g in pending]
+        still = list(zip(pending, packed, packed))  # (g, g packed, g^k packed)
+        links = []
+        for k in range(1, _WITNESS_BOUND + 1):
+            if k > 1:
+                still = [(g, p, _times(gk, p, q, field)) for g, p, gk in still]
+            kept = []
+            for g, p, gk in still:
+                if _reduce_full(gk, reducers, q, field, True):
+                    kept.append((g, p, gk))
+                else:
+                    links.append((g, k))
+            closed, still = len(kept) < len(still), kept
+            if (closed and k > 1) or not still:
+                break
+        return links, [g for g, _, _ in still]
+
+    return _packed(H._packed_basis(DEGREVLEX)[0], [g._terms for g in pending], run,
+                   _WITNESS_BOUND)[1]
+
+
 def _radical_chain(gens, I: IdealHandle):
     """Certify every generator in rad(I), link by link; None if one is not in it.
 
     Returns the links ``(g, k)`` with g^k in I + (generators certified
     before g), or ``(g, "Rabinowitsch")`` when only the Rabinowitsch trick
     closed g, in the order they were certified.  Levels k = 1.._WITNESS_BOUND
-    are swept over all open generators; those closed at some k > 1 join H in
-    one batch while others stay open, and the open ones restart at k = 1.
-    (A generator closed at k = 1 already lies in H.)  When a whole sweep
-    closes nothing, the first open generator goes to Rabinowitsch against H.
+    are swept over all open generators (`_sweep`); those closed at some k > 1
+    join H in one batch while others stay open, and the open ones restart at
+    k = 1.  (A generator closed at k = 1 already lies in H.)  When a whole
+    sweep closes nothing, the first open generator goes to Rabinowitsch
+    against H.  A generator of another ring, the zero polynomial included,
+    raises `RingMismatchError`.
     """
-    H = I
     pending = list(gens)
+    if any(g.ring != I.ring for g in pending):
+        raise RingMismatchError("polynomial lives in a different ring")
+    H = I
     links = []
     while pending:
-        powers = list(pending)
-        closed = []
-        for k in range(1, _WITNESS_BOUND + 1):
-            if k > 1:
-                powers = [p * g for g, p in zip(pending, powers)]
-            still, still_powers = [], []
-            for g, p in zip(pending, powers):
-                if H.contains(p):
-                    links.append((g, k))
-                    if k > 1:
-                        closed.append(g)
-                else:
-                    still.append(g)
-                    still_powers.append(p)
-            pending, powers = still, still_powers
-            if closed or not pending:
-                break
+        found, pending = _sweep(H, pending)
+        links += found
+        closed = [g for g, k in found if k > 1]
         if not pending:
             break
         if closed:
@@ -612,8 +688,11 @@ def _radical_chain(gens, I: IdealHandle):
 def radical_member(f: Polynomial, I: IdealHandle) -> RadicalCertificate:
     """Decide f in rad(I): the radical chain of the single generator f.
 
+    Each power f^k, k = 1.._WITNESS_BOUND, is multiplied packed and decided
+    by the zero test against I's cached basis; the first that reduces to
+    zero is the witness, and if none does, the Rabinowitsch trick decides.
     The zero polynomial closes at k = 1, and a polynomial of another ring
-    raises `RingMismatchError` from the chain's first normal form."""
+    raises `RingMismatchError` before any power is tested."""
     links = _radical_chain([f], I)
     if links is None:
         return RadicalCertificate(False)
@@ -630,7 +709,7 @@ def _certify(seeds: list[dict], basis: list[dict], pk: _Packing, field) -> None:
     reducers = sorted(((max(p, key=keyf), p) for p in basis), key=lambda t: keyf(t[0]))
     spolys = (_spoly(f, lmf, g, lmg, pk, field) for i, (lmf, f) in enumerate(reducers)
               for lmg, g in reducers[i + 1:] if pk.lcm(lmf, lmg) != lmf + lmg)
-    if any(_reduce_full(p, reducers, pk, field) for p in chain(seeds, spolys)):
+    if any(_reduce_full(p, reducers, pk, field, True) for p in chain(seeds, spolys)):
         raise ScrollstciError("Groebner basis failed its Buchberger-criterion replay")
 
 
@@ -831,7 +910,7 @@ def radical_equal(I: IdealHandle, J: IdealHandle) -> bool:
     Ideals of different Krull dimension have different radicals, and the
     answer is False without a chain.  Otherwise the chain of I's generators
     into J certifies rad(I) within rad(J) (and the reverse chain the
-    converse), each link a normal-form test against J grown by the links
+    converse), each link a zero test against J grown by the links
     before it, with the Rabinowitsch trick as fallback and as the chain's
     route to False.  So every True comes with the links of both chains.
     """

@@ -10,6 +10,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_chain
 import tuple_kernel
 from scrollstci import oracle
 from scrollstci.linjoin import TwoLinearSpec
@@ -329,6 +330,59 @@ def test_radical_chain_replays_verdi_width_4():
     assert links is not None and len(links) == 10
     assert max(k for _, k in links) > 1
     replay(links, F)
+
+
+def _verdi_cases(field):
+    """Verdi's generators F and the minors M of one block, c = 2..9, with
+    variables as entries and with two entries changed to linear forms; each
+    as the pair (M into F) and the pair (F into M)."""
+    for changed in (False, True):
+        for c in range(2, 10):
+            ring = Ring(tuple(f"x{i}" for i in range(c + 2)), field)
+            entries = [ring.variable(v) for v in ring.variables]
+            if changed:
+                entries[0] += 2 * entries[1]
+                entries[2] -= 3 * entries[3]
+            block = ScrollBlock(tuple(entries))
+            F, M = verdi_generators(block), minors_2x2(block)
+            yield M, IdealHandle(ring, F)
+            yield F, IdealHandle(ring, M)
+
+
+def _ci_chain_cases():
+    """The ideals of the CLI smoke in CI: x^1200 against its radical, and
+    t^9*x, whose chain needs Rabinowitsch, both ways; x and x + y into x^9."""
+    high, low = ideal(R3, "x^1200*y", "x^1200*z"), ideal(R3, "x*y", "x*z")
+    ring = Ring(("t", "t0", "x"))
+    t9x, tx = ideal(ring, "t^9*x"), ideal(ring, "t*x")
+    for I, J in product((high, low), repeat=2):
+        yield I.generators, J
+    yield t9x.generators, tx
+    yield tx.generators, t9x
+    for f in ("x", "x + y"):
+        yield [parse(R2, f)], ideal(R2, "x^9")
+
+
+@pytest.mark.parametrize("field", [QQ, Fp(7)], ids=str)
+def test_the_packed_chain_gives_the_links_of_the_tuple_chain(field):
+    cases = list(_verdi_cases(field)) + list(chain_cases(field, 41, 25))
+    if field == QQ:
+        cases += list(_ci_chain_cases())
+    kinds = set()
+    with time_limit(120):
+        for gens, I in cases:
+            links = _radical_chain(gens, I)
+            assert links == reference_chain.radical_chain(gens, IdealHandle(I.ring, I.generators))
+            kinds |= {"none"} if links is None else {str(k) for _, k in links}
+    assert {"none", "1", "2", "Rabinowitsch"} <= kinds
+
+
+def test_verdi_width_9_closes_one_link_by_rabinowitsch():
+    # the chain of the minors into Verdi's ideal at c = 9, as CI runs it through `radeq`
+    ring = Ring(tuple(f"x{i}" for i in range(11)))
+    block = ScrollBlock(tuple(ring.variable(v) for v in ring.variables))
+    links = _radical_chain(minors_2x2(block), IdealHandle(ring, verdi_generators(block)))
+    assert len(links) == 45 and [k for _, k in links].count("Rabinowitsch") == 1
 
 
 def test_extend_matches_fresh_basis():
@@ -775,13 +829,13 @@ def _narrowest(arity, order):
     return oracle._packing(arity, order, 8)
 
 
-def _reduce_full(p, reducers, order, field):
+def _reduce_full(p, reducers, order, field, zero_test=False):
     if not p:
         return {}
     pk, r = oracle._packed(
         _narrowest(len(next(iter(p))), order), [p] + [g for _, g in reducers],
         lambda q: oracle._reduce_full(q.pack(p), [(q.encode(lm), q.pack(g)) for lm, g in reducers],
-                                      q, field))
+                                      q, field, zero_test))
     return pk.unpack(r)
 
 
@@ -870,6 +924,57 @@ def test_heap_normal_form_matches_the_max_reference(order, field):
         reducers = _monic_reducers(gens, order, field)
         got = _reduce_full(p, reducers, order, field)
         assert list(got.items()) == list(_reference_reduce_full(p, reducers, keyf, field).items())
+
+
+@pytest.mark.parametrize("field", [QQ, Fp(7)], ids=str)
+@pytest.mark.parametrize("order", [LEX, DEGLEX, DEGREVLEX, block_order(2)], ids=str)
+def test_the_zero_test_stops_at_the_normal_forms_leading_term(order, field):
+    zeros = 0
+    for p, gens in _reduce_full_cases(order, field):
+        reducers = _monic_reducers(gens, order, field)
+        full = _reduce_full(p, reducers, order, field)
+        assert _reduce_full(p, reducers, order, field, zero_test=True) == dict(list(full.items())[:1])
+        zeros += not full
+    assert zeros >= 1
+
+
+def _zero_test_cases(field, seed):
+    """Seeded (ideal, polynomial) pairs over ``field``: random polynomials and
+    random members of random ideals, of the unit ideal and of the zero ideal,
+    the zero polynomial, and polynomials of degree 128 and more, most of
+    which need exponent fields wider than their ideal's cached basis has."""
+    ring = Ring(("x", "y", "z"), field)
+    rng = random.Random(seed)
+    monos = [(i, j, k) for i in range(4) for j in range(4) for k in range(4) if i + j + k <= 3]
+    ideals = [IdealHandle(ring, [random_poly(rng, ring, monos, 3) for _ in range(rng.randint(1, 3))])
+              for _ in range(12)]
+    ideals += [IdealHandle(ring, [ring.one()]), IdealHandle(ring, [])]
+    for I in ideals:
+        yield I, ring.zero()
+        for _ in range(6):
+            yield I, random_poly(rng, ring, monos, 4)
+            yield I, sum((random_poly(rng, ring, monos, 2) * g for g in I.generators), ring.zero())
+    for gens, polys in ((("x - y",), ("x^130 - y^130", "x^130 + y", "x^200*z - y^200*z")),
+                        (("x^2", "y^3 - z^3"), ("y^150 - z^150", "x^200 + x*y", "y^200")),
+                        (("x^128*y - z",), ("x^256*y^2 - z^2", "x^129", "z*x^128*y - z^2"))):
+        for f in polys:
+            yield ideal(ring, *gens), parse(ring, f)
+
+
+@pytest.mark.parametrize("field,seed", [(QQ, 59), (Fp(7), 61)], ids=str)
+def test_the_zero_test_decides_what_the_normal_form_does(field, seed):
+    members = wide = 0
+    with time_limit(60):
+        for I, f in _zero_test_cases(field, seed):
+            member = I.contains(f)
+            assert member == I.normal_form(f).is_zero()
+            # the same packing, and the full remainder's leading term or nothing
+            q, lead = I._reduced(f, DEGREVLEX, True)
+            pk, full = I._reduced(f, DEGREVLEX, False)
+            assert q is pk and lead == dict(list(full.items())[:1])
+            members += member
+            wide += q.bits > I._packed_basis(DEGREVLEX)[0].bits
+    assert members >= 20 and wide >= 4
 
 
 def _reference_interreduce(pairs, order, field):
@@ -1041,6 +1146,23 @@ def test_buchberger_forms_no_pair_inside_a_known_basis(monkeypatch):
     got = _buchberger(basis, 6, DEGREVLEX, QQ, gb_prefix=len(basis))
     assert calls == []
     assert [list(p.items()) for p in got] == [list(p.items()) for p in basis]
+
+
+def test_buchberger_interreduces_a_second_time_only_when_the_basis_grows(monkeypatch):
+    calls = []
+    real = oracle._interreduce
+    monkeypatch.setattr(oracle, "_interreduce", lambda *args: calls.append(1) or real(*args))
+    # the minors of a generic 2x5 block are a Groebner basis; x^2 - y, x*y - z are not
+    ring = Ring(tuple(f"a{j}" for j in range(5)) + tuple(f"b{j}" for j in range(5)))
+    minors = [parse(ring, f"a{i}*b{j} - a{j}*b{i}")._terms for i, j in combinations(range(5), 2)]
+    grows = [parse(R3, t)._terms for t in ("x^2 - y", "x*y - z")]
+    for seeds, arity, want in ((minors, 10, 1), (grows, 3, 2)):
+        calls.clear()
+        basis = _buchberger(seeds, arity, DEGREVLEX, QQ)
+        assert len(calls) == want
+        fresh = tuple_kernel._buchberger(seeds, arity, DEGREVLEX, QQ)
+        assert [list(p.items()) for p in basis] == [list(p.items()) for p in fresh]
+    assert len(basis) > len(grows)
 
 
 _ORDERS = [LEX, DEGLEX, DEGREVLEX, block_order(1), block_order(2)]
