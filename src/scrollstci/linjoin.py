@@ -56,7 +56,7 @@ from typing import NamedTuple, Sequence
 from . import oracle
 from .oracle import IdealHandle
 from .poly import LinearSpan, Polynomial, Ring, ScrollstciError, is_linear_form
-from .scroll import ScrollMatrix, rows_in_span, scroll_ara_facts, span_containment
+from .scroll import ScrollMatrix, has_minors, rows_in_span, scroll_ara_facts, span_containment
 
 
 class SpecValidationError(ScrollstciError):
@@ -252,10 +252,6 @@ class ValidationReport:
         }
 
 
-def _scroll_has_minors(scroll: ScrollMatrix | None) -> bool:
-    return scroll is not None and scroll.ncols >= 2
-
-
 def validate(spec: TwoLinearSpec) -> ValidationReport:
     """Check the linearly-joined conditions; failures are reported, not thrown."""
     failures: list[ValidationFailure] = []
@@ -303,7 +299,7 @@ def validate(spec: TwoLinearSpec) -> ValidationReport:
     rows: dict[tuple[int, ...], int | None] = {}
     for condition, indices, forms, name in questions:
         scroll = spec.component(indices[0]).scroll
-        if not _scroll_has_minors(scroll):
+        if not has_minors(scroll):
             continue
         residuals, witness = span_containment(scroll, spec.span(forms))
         rows[indices] = next((w for w, ok in zip((1, 2), rows_in_span(residuals)) if ok), None)
@@ -330,7 +326,7 @@ def validate(spec: TwoLinearSpec) -> ValidationReport:
         if len(scroll.blocks) > 1:
             hyp.single_block = False
             hyp.failures.append(f"component {i}: scroll has {len(scroll.blocks)} blocks")
-        if not _scroll_has_minors(scroll):
+        if not has_minors(scroll):
             continue
         if i >= 2:
             if rows[i,] is None:
@@ -362,7 +358,7 @@ def _minors(spec: TwoLinearSpec, i: int) -> list[Polynomial]:
     from .scroll import minors_2x2
 
     scroll = spec.component(i).scroll
-    return minors_2x2(scroll) if _scroll_has_minors(scroll) else []
+    return minors_2x2(scroll) if has_minors(scroll) else []
 
 
 def component_ideal(spec: TwoLinearSpec, i: int) -> IdealHandle:
@@ -461,7 +457,7 @@ def cohom_dim(spec: TwoLinearSpec) -> CohomDim:
     for i in range(1, spec.l + 1):
         scroll = spec.component(i).scroll
         facts = scroll_ara_facts(scroll)
-        height = scroll.ncols - 1 if _scroll_has_minors(scroll) else 0
+        height = scroll.ncols - 1 if has_minors(scroll) else 0
         if facts is None or facts[0] != height:
             raise SpecValidationError(
                 f"component {i}: minor ideal is not a known set-theoretic "

@@ -21,6 +21,12 @@ parsing, printing, linear algebra and the Hilbert recursion keep exponent
 tuples; the radical chain packs each open generator once per sweep and
 multiplies its powers packed.
 
+A reduced basis has one shape from kernel to cache: reducers, ``(lm, poly)``
+pairs in ascending order of their leading monomials, each polynomial monic
+and its label its first key.  `_interreduce` and `_buchberger` return it,
+`_buchberger` reads a known basis's leading monomials off its labels, and
+only `_certify`, which checks the kernel, derives them from the polynomials.
+
 The kernels keep their state rather than recompute it.  Pending pairs
 map to the lcm of their leading monomials, computed once when the pair is
 created, and a heap hands out the pair with the least (order key of the lcm,
@@ -69,9 +75,9 @@ basis is unique per (ideal, order); recomputation or permuting generators
 yields the identical result.
 
 `IdealHandle` keeps one cache entry per term order, written once by
-`IdealHandle._remember`: the reduced basis, packed, as the sorted reducer
-list its normal forms use, with its packing.  It keeps no basis as
-polynomials, which `groebner_basis` unpacks on each request, and no copy
+`IdealHandle._remember`: the reducers a kernel returned, as its normal forms
+use them, with their packing.  It keeps no basis as polynomials, which
+`groebner_basis` unpacks in descending order on each request, and no copy
 packed wider: when `_packed` chose a wider packing for a run,
 `IdealHandle._packed_basis` packs the entry again that wide for that run
 alone.  The handle also keeps the Hilbert numerator of its degrevlex
@@ -330,11 +336,11 @@ def _update(G: set, B: dict, ih: int, lms: list, pk: _Packing) -> tuple[set, dic
 def _interreduce(pairs: list[tuple], pk: _Packing, field) -> list[tuple]:
     """Autoreduce ``(lm, poly)`` pairs until a whole pass keeps every leading monomial.
 
-    Zeros are dropped, every element is made monic, and the pairs come back in
-    descending order of their leading monomials.  After such a pass no term of
-    any element is divisible by another element's leading monomial, so on a
-    Groebner basis the result is the unique reduced basis; on a minimal one
-    (no leading monomial divides another) it takes a single pass.
+    Zeros are dropped, every element is made monic, and the pairs come back
+    as ascending reducers.  After such a pass no term of any element is
+    divisible by another element's leading monomial, so on a Groebner basis
+    the result is the unique reduced basis; on a minimal one (no leading
+    monomial divides another) it takes a single pass.
     """
     keyf = pk.key
     current = sorted(((lm, _monic(p, lm, field)) for lm, p in pairs), key=lambda t: keyf(t[0]))
@@ -356,34 +362,35 @@ def _interreduce(pairs: list[tuple], pk: _Packing, field) -> list[tuple]:
             done.append((rlm, _monic(r, rlm, field)))
         current = done
         if not changed:
-            return sorted(current, key=lambda t: keyf(t[0]), reverse=True)
+            return sorted(current, key=lambda t: keyf(t[0]))
         first_pass = False
 
 
-def _buchberger(seeds: list[dict], pk: _Packing, field, gb_prefix: int = 0) -> list[dict]:
-    """Reduced Groebner basis of the ideal generated by the nonzero ``seeds``.
+def _buchberger(seeds: list[dict], pk: _Packing, field, known: list[tuple] = ()) -> list[tuple]:
+    """Reduced Groebner basis, as reducers, of the ideal generated by
+    ``known`` and the nonzero ``seeds``.
 
-    ``gb_prefix``: the first so-many seeds are already a monic reduced basis
-    under this order.  They are the starting basis as given, with no pending
-    pair: a pair of a Groebner basis reduces to zero against it, so none of
-    theirs is formed (Gebauer & Moeller).  Only the other seeds go through
-    `_update`, in ascending order of their leading monomials.  The unit ideal
-    needs no case of its own: 1 (the packed monomial 0) divides every leading
-    monomial, so once it is in the basis each pair left reduces to zero
-    against it, and the final interreduction returns [1].  Without a prefix
-    the seeds are interreduced first; if no pair then leaves a nonzero
-    remainder, they are a Groebner basis and already reduced, so they are
-    returned as they are, with no second interreduction.
+    ``known``, reducers of a reduced basis under this order (a cache entry,
+    never mutated), is the starting basis as given, its leading monomials
+    read off its labels, with no pending pair: a pair of a Groebner basis
+    reduces to zero against it, so none of theirs is formed (Gebauer &
+    Moeller).  Only the seeds go through `_update`, in ascending order of
+    their leading monomials.  The unit ideal needs no case of its own: 1 (the
+    packed monomial 0) divides every leading monomial, so once it is in the
+    basis each pair left reduces to zero against it, and the final
+    interreduction returns [1].  Without a known basis the seeds are
+    interreduced first; if no pair then leaves a nonzero remainder, they are
+    a Groebner basis and already reduced, so they are returned as they are,
+    with no second interreduction.
     """
     keyf = pk.key
-    polys = seeds[:gb_prefix]
-    lms = [max(p, key=keyf) for p in polys]
-    G = set(range(gb_prefix))
+    lms = [lm for lm, _ in known]
+    polys = [p for _, p in known]
+    G = set(range(len(known)))
     B: dict = {}
-    rest = [(max(s, key=keyf), s) for s in seeds[gb_prefix:]]
-    if gb_prefix == 0:
-        rest = _interreduce(rest, pk, field)
-    for lm, p in sorted(rest, key=lambda t: keyf(t[0])):
+    rest = [(max(s, key=keyf), s) for s in seeds]
+    rest = sorted(rest, key=lambda t: keyf(t[0])) if known else _interreduce(rest, pk, field)
+    for lm, p in rest:
         lms.append(lm)
         polys.append(_monic(p, lm, field))
         G, B = _update(G, B, len(polys) - 1, lms, pk)
@@ -417,9 +424,9 @@ def _buchberger(seeds: list[dict], pk: _Packing, field, gb_prefix: int = 0) -> l
                 heappush(queue, (keyf(lcm), pr))
         reducers = None
 
-    if gb_prefix == 0 and len(polys) == len(rest):
-        return [p for _, p in rest]
-    return [p for _, p in _interreduce([(lms[g], polys[g]) for g in G], pk, field)]
+    if not known and len(polys) == len(rest):
+        return rest
+    return _interreduce([(lms[g], polys[g]) for g in G], pk, field)
 
 
 # --- public API -----------------------------------------------------------------
@@ -468,11 +475,10 @@ class IdealHandle:
         return q, [(encode(decode(lm)), {encode(decode(m)): c for m, c in p.items()})
                    for lm, p in reducers]
 
-    def _remember(self, order: TermOrder, pk: _Packing, basis: list[dict]) -> tuple:
-        """Cache a reduced basis, its elements in descending order of leading
-        monomials (each its own first key), packed, as the one entry of
-        ``order``; an entry already there is kept and returned."""
-        return self._packed.setdefault(order, (pk, [(next(iter(p)), p) for p in reversed(basis)]))
+    def _remember(self, order: TermOrder, pk: _Packing, reducers: list[tuple]) -> tuple:
+        """Cache reducers and their packing as the one entry of ``order``; an
+        entry already there is kept and returned."""
+        return self._packed.setdefault(order, (pk, reducers))
 
     def _reduced(self, f: Polynomial, order: TermOrder, zero_test: bool) -> tuple[_Packing, dict]:
         if f.ring != self.ring:
@@ -548,26 +554,26 @@ def _rabinowitsch(ring: Ring, f: Polynomial) -> tuple[Ring, dict]:
     return ext, (ext.one() - ext.variable(ext.variables[0]) * transport(f, ext))._terms
 
 
-def _grown(H: IdealHandle, ring: Ring, seeds: list[dict]) -> tuple[_Packing, list[dict]]:
-    """The packing and the reduced degrevlex basis of H + (seeds) over ``ring``.
+def _grown(H: IdealHandle, ring: Ring, seeds: list[dict]) -> tuple[_Packing, list[tuple]]:
+    """The packing and the reducers of the degrevlex basis of H + (seeds) over ``ring``.
 
     ``ring`` is H's ring or that ring with fresh first variables, and
     ``seeds`` are exponent-tuple dicts over it.  Prepended variables leave
     degrevlex comparisons of monomials free of them unchanged, and they take
-    the lowest degrevlex fields, so H's cached basis, packed as wide as the
-    run's packing and shifted up one field per fresh variable, is still a
-    reduced basis and starts Buchberger as its known prefix.
+    the lowest degrevlex fields, so H's cached reducers, packed as wide as
+    the run's packing and shifted up one field per fresh variable, labels
+    with them, are still a reduced basis and start Buchberger as its known
+    basis.
     """
     pk, _ = H._packed_basis(DEGREVLEX)
     fresh = ring.arity - H.ring.arity
 
-    def run(q: _Packing) -> list[dict]:
-        prefix = [p for _, p in H._packed_basis(DEGREVLEX, q.bits)[1]]
+    def run(q: _Packing) -> list[tuple]:
+        known = H._packed_basis(DEGREVLEX, q.bits)[1]
         if fresh:
             shift = fresh * q.width
-            prefix = [{m << shift: c for m, c in p.items()} for p in prefix]
-        return _buchberger(prefix + [q.pack(s) for s in seeds], q, ring.field,
-                           gb_prefix=len(prefix))
+            known = [(lm << shift, {m << shift: c for m, c in p.items()}) for lm, p in known]
+        return _buchberger([q.pack(s) for s in seeds], q, ring.field, known)
 
     return _packed(_packing(ring.arity, DEGREVLEX, pk.bits), seeds, run)
 
@@ -576,7 +582,7 @@ def _rabinowitsch_contains(I: IdealHandle, f: Polynomial) -> bool:
     """1 in I + (1 - t*f) over the ring extended with a fresh first variable t."""
     ext, rab = _rabinowitsch(I.ring, f)
     _, basis = _grown(I, ext, [rab])
-    return len(basis) == 1 and next(iter(basis[0])) == 0
+    return len(basis) == 1 and basis[0][0] == 0
 
 
 _RABINOWITSCH = "Rabinowitsch"
@@ -700,13 +706,15 @@ def radical_member(f: Polynomial, I: IdealHandle) -> RadicalCertificate:
     return RadicalCertificate(True, None if k == _RABINOWITSCH else k)
 
 
-def _certify(seeds: list[dict], basis: list[dict], pk: _Packing, field) -> None:
-    """Raise unless the monic ``basis``, built from ``seeds``, is a Groebner
-    basis of (seeds): Buchberger's criterion, replayed by plain reductions of
-    every seed and of the S-polynomial of every pair of basis elements whose
-    leading monomials are not coprime.  A failure is an engine defect."""
+def _certify(seeds: list[dict], basis: list[tuple], pk: _Packing, field) -> None:
+    """Raise unless the monic ``basis`` (reducers) built from ``seeds`` is a
+    Groebner basis of (seeds): Buchberger's criterion, replayed by plain
+    reductions of every seed and of the S-polynomial of every pair of basis
+    elements whose leading monomials are not coprime.  It checks the kernel,
+    so it reads no label: each leading monomial comes from its polynomial.
+    A failure is an engine defect."""
     keyf = pk.key
-    reducers = sorted(((max(p, key=keyf), p) for p in basis), key=lambda t: keyf(t[0]))
+    reducers = sorted(((max(p, key=keyf), p) for _, p in basis), key=lambda t: keyf(t[0]))
     spolys = (_spoly(f, lmf, g, lmg, pk, field) for i, (lmf, f) in enumerate(reducers)
               for lmg, g in reducers[i + 1:] if pk.lcm(lmf, lmg) != lmf + lmg)
     if any(_reduce_full(p, reducers, pk, field, True) for p in chain(seeds, spolys)):
@@ -719,7 +727,7 @@ def _eliminated(ring: Ring, k: int, seeds: list[dict]) -> IdealHandle:
     replayed by `_certify` inside the run, so an `_Overflow` there widens too."""
     field = ring.field
 
-    def run(q: _Packing) -> list[dict]:
+    def run(q: _Packing) -> list[tuple]:
         packed = [q.pack(s) for s in seeds]
         basis = _buchberger(packed, q, field)
         _certify(packed, basis, q, field)
@@ -728,7 +736,8 @@ def _eliminated(ring: Ring, k: int, seeds: list[dict]) -> IdealHandle:
     pk, basis = _packed(_packing(ring.arity, block_order(k), 8), seeds, run)
     rest = Ring(ring.variables[k:], field)
     return IdealHandle(rest, [Polynomial._make(rest, {m[k:]: c for m, c in p.items()})
-                              for p in map(pk.unpack, basis) if not any(any(m[:k]) for m in p)])
+                              for p in map(pk.unpack, (p for _, p in reversed(basis)))
+                              if not any(any(m[:k]) for m in p)])
 
 
 def eliminate(I: IdealHandle, variables) -> IdealHandle:
@@ -877,8 +886,7 @@ def certify_intersection(C: IdealHandle, A: IdealHandle, B: IdealHandle) -> bool
         field, gens = C.ring.field, [g._terms for g in C.generators]
         C._remember(DEGREVLEX, *_packed(
             _packing(C.ring.arity, DEGREVLEX, 8), gens,
-            lambda q: [p for _, p in _interreduce(
-                [(max(p, key=q.key), p) for p in map(q.pack, gens)], q, field)]))
+            lambda q: _interreduce([(max(p, key=q.key), p) for p in map(q.pack, gens)], q, field)))
         if C._numerator is None:  # written once, like the basis cache
             C._numerator = c
         return True

@@ -192,6 +192,11 @@ def ara_bound_generic(r: int) -> GenericScrollFacts:
     return GenericScrollFacts(ara=2 * r - 3, projdim=r - 1)
 
 
+def has_minors(matrix: ScrollMatrix | None) -> bool:
+    """A matrix with 2x2 minors: it exists and has at least two columns."""
+    return matrix is not None and matrix.ncols >= 2
+
+
 def scroll_ara_facts(matrix: ScrollMatrix | None) -> tuple[int, int] | None:
     """(ara, sum of block c-values) when the arithmetical rank is known.
 
@@ -199,9 +204,7 @@ def scroll_ara_facts(matrix: ScrollMatrix | None) -> tuple[int, int] | None:
     (ara = c, a complete intersection up to radical); an all-generic matrix
     with r columns (ara = 2r-3).  Returns None otherwise.
     """
-    if matrix is None:
-        return (0, 0)
-    if matrix.ncols < 2:
+    if not has_minors(matrix):
         return (0, 0)
     nongeneric = [b for b in matrix.blocks if not b.is_generic]
     if not nongeneric:

@@ -41,7 +41,7 @@ from . import linjoin
 from .linjoin import TwoLinearSpec, intersection_ideal
 from .oracle import IdealHandle, radical_equal
 from .poly import Polynomial, ScrollstciError
-from .scroll import ScrollBlock, verdi_generators
+from .scroll import ScrollBlock, has_minors, verdi_generators
 
 
 class SynthesisError(ScrollstciError):
@@ -63,9 +63,7 @@ class TildeData:
 
 def _single_block(spec: TwoLinearSpec, i: int) -> ScrollBlock | None:
     scroll = spec.component(i).scroll
-    if scroll is None or scroll.ncols < 2:
-        return None
-    return scroll.blocks[0]
+    return scroll.blocks[0] if has_minors(scroll) else None
 
 
 def _complement(spec: TwoLinearSpec, what: str, target, inner, corners, override):

@@ -704,6 +704,122 @@ def test_saturate_by_zero_rejected():
         saturate(ideal(R2, "x"), R2.zero())
 
 
+# --- one basis shape: ascending (lm, poly) reducers ------------------------------------
+
+def _assert_reducers(pk, reducers, field):
+    """Reducers in ascending order of ``pk.key``, each label its polynomial's
+    first key and its max, each polynomial monic."""
+    keys = [pk.key(lm) for lm, _ in reducers]
+    assert keys == sorted(set(keys))
+    for lm, p in reducers:
+        assert lm == next(iter(p)) == max(p, key=pk.key)
+        assert p[lm] == field.one
+
+
+def _entry(I):
+    """A copy of I's degrevlex cache entry, coefficients in their key order."""
+    pk, reducers = I._packed[DEGREVLEX]
+    return pk, [(lm, list(p.items())) for lm, p in reducers]
+
+
+_SHAPE_GENS = ("x^2 - 2*y*z", "x*y - z^2 + x", "3*y^3 - x*z")
+
+
+@pytest.mark.parametrize("order", [LEX, DEGREVLEX, block_order(1)], ids=str)
+def test_a_fresh_basis_is_cached_as_ascending_reducers(order):
+    pk, reducers = ideal(R3, *_SHAPE_GENS)._packed_basis(order)
+    assert len(reducers) >= 3
+    _assert_reducers(pk, reducers, QQ)
+
+
+def test_a_grown_basis_is_ascending_reducers_and_leaves_the_known_one_as_it_was():
+    I = ideal(R3, *_SHAPE_GENS)
+    entry = I._packed_basis(DEGREVLEX)
+    before = _entry(I)
+    grown = _extend(I, [parse(R3, "y*z - x")])
+    _assert_reducers(*grown._packed[DEGREVLEX], QQ)
+    # over the Rabinowitsch ring, as wide as I's entry and wider than it
+    for f in ("y + z", "x^200 - y"):
+        ext, rab = oracle._rabinowitsch(R3, parse(R3, f))
+        pk, reducers = oracle._grown(I, ext, [rab])
+        assert pk.arity == 4 and len(reducers) >= 2
+        _assert_reducers(pk, reducers, QQ)
+    assert I._packed[DEGREVLEX] is entry and _entry(I) == before
+
+
+def test_the_bound_route_of_certify_intersection_caches_ascending_reducers(monkeypatch):
+    A, B = ideal(R3, "x"), ideal(R3, "y", "z")
+    for I in (A, B):  # their bases and numerators are cached before Buchberger is refused
+        I.hilbert_numerator()
+
+    def refuse(*args):
+        raise AssertionError("the bound route ran Buchberger")
+
+    monkeypatch.setattr(oracle, "_buchberger", refuse)
+    # x*y + x*z interreduces to x*y
+    C = ideal(R3, "x*y + x*z", "x*z")
+    assert certify_intersection(C, A, B)
+    pk, reducers = C._packed[DEGREVLEX]
+    assert [pk.decode(lm) for lm, _ in reducers] == [(1, 0, 1), (1, 1, 0)]
+    _assert_reducers(pk, reducers, QQ)
+
+
+_ELIMINATING = [
+    lambda: saturate(ideal(_R4, *_CURVE), parse(_R4, "x1*x2*x3*x4")),
+    lambda: intersect(ideal(_R4, *_CURVE), ideal(_R4, "x1 - x4", "x2*x3 - x4^2")),
+    lambda: eliminate(ideal(_R4T, *_CURVE, "1 - t*x1*x2*x3*x4"), ["t"]),
+]
+
+
+def _mislabelled(basis):
+    """The basis with each label moved to the next polynomial."""
+    return [(lm, p) for (lm, _), (_, p) in zip(basis[1:] + basis[:1], basis)]
+
+
+@pytest.mark.parametrize("eliminating", _ELIMINATING, ids=["saturate", "intersect", "eliminate"])
+def test_elimination_hands_ascending_reducers_to_a_replay_that_reads_no_label(monkeypatch,
+                                                                             eliminating):
+    real = oracle._certify
+    replays = []
+
+    def checking(seeds, basis, pk, field):
+        _assert_reducers(pk, basis, field)
+        assert len(basis) >= 2
+        with time_limit(60):  # a replay that trusts wrong labels may not end
+            real(seeds, _mislabelled(basis), pk, field)
+        real(seeds, basis, pk, field)
+        replays.append(basis)
+
+    monkeypatch.setattr(oracle, "_certify", checking)
+    eliminating()
+    assert len(replays) == 1
+
+
+@pytest.mark.parametrize("eliminating", _ELIMINATING, ids=["saturate", "intersect", "eliminate"])
+def test_the_replay_refuses_a_lossy_basis_under_true_and_wrong_labels(monkeypatch, eliminating):
+    # the lossy update of the test above that refuses every elimination
+    real_update, real_certify = oracle._update, oracle._certify
+    refused = []
+
+    def lossy_update(G, B, ih, lms, pk):
+        G_new, B_new = real_update(G, B, ih, lms, pk)
+        return G_new, ({k: v for k, v in B_new.items() if k in B} if ih >= 3 else B_new)
+
+    def checking(seeds, basis, pk, field):
+        for labelled in (basis, _mislabelled(basis)):
+            with pytest.raises(ScrollstciError, match="Buchberger-criterion replay"), \
+                    time_limit(60):
+                real_certify(seeds, labelled, pk, field)
+        refused.append(len(basis))
+        raise ScrollstciError("refused")
+
+    monkeypatch.setattr(oracle, "_update", lossy_update)
+    monkeypatch.setattr(oracle, "_certify", checking)
+    with pytest.raises(ScrollstciError, match="refused"):
+        eliminating()
+    assert len(refused) == 1 and refused[0] >= 2
+
+
 # --- radical equality ------------------------------------------------------------------
 
 def test_radical_equal_examples():
@@ -845,15 +961,18 @@ def _interreduce(pairs, order, field):
     pk, out = oracle._packed(
         _narrowest(len(pairs[0][0]), order), [p for _, p in pairs],
         lambda q: oracle._interreduce([(q.encode(lm), q.pack(p)) for lm, p in pairs], q, field))
-    return [(pk.decode(lm), pk.unpack(p)) for lm, p in out]
+    return [(pk.decode(lm), pk.unpack(p)) for lm, p in reversed(out)]
 
 
 def _buchberger(seeds, arity, order, field, gb_prefix=0):
+    """The kernel's basis in descending order; the first ``gb_prefix`` seeds
+    are handed over as its known basis, labelled, in the order given."""
     pk, basis = oracle._packed(
         _narrowest(arity, order), seeds,
-        lambda q: oracle._buchberger([q.pack(s) for s in seeds], q, field,
-                                     gb_prefix))
-    return [pk.unpack(p) for p in basis]
+        lambda q: oracle._buchberger(
+            [q.pack(s) for s in seeds[gb_prefix:]], q, field,
+            [(max(p, key=q.key), p) for p in map(q.pack, seeds[:gb_prefix])]))
+    return [pk.unpack(p) for _, p in reversed(basis)]
 
 
 def _divides(a, b):
