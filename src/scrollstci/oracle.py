@@ -10,13 +10,14 @@ The kernels (`_buchberger`, `_reduce_full`, `_spoly`, `_update`,
 (Bachmann & Schoenemann, ISSAC 1998): each exponent vector is one int, with
 a field per variable and one for the degree (`_Packing`), so a product is
 one int addition, a divisibility test one subtraction and a mask, and an
-order comparison one int comparison.  `_packed` alone picks the field width
-from the input: exponent fields start at 8 bits (or at the width of the
-cached basis the run extends) and double until they hold twice the largest
-input degree, and each has as many guard bits again.  A product whose guard
-bits are not clear has outgrown its fields; `_packed` then runs again with
-fields twice as wide, so no input is refused for its exponents and every
-result is the one an unbounded representation would give.  Polynomials,
+order comparison one int comparison.  `_packed` starts every packed run and
+alone builds packings, picking the field width from the input: exponent
+fields start at 8 bits (or at the width of the cached basis the run reads,
+through `IdealHandle._against`) and double until they hold twice the
+largest input degree, and each has as many guard bits again.  A product
+whose guard bits are not clear has outgrown its fields; `_packed` then runs
+again with fields twice as wide, so no input is refused for its exponents
+and every result is the one an unbounded representation would give.  Polynomials,
 parsing, printing, linear algebra and the Hilbert recursion keep exponent
 tuples; the radical chain packs each open generator once per sweep and
 multiplies its powers packed.
@@ -77,9 +78,11 @@ yields the identical result.
 `IdealHandle` keeps one cache entry per term order, written once by
 `IdealHandle._remember`: the reducers a kernel returned, as its normal forms
 use them, with their packing.  It keeps no basis as polynomials, which
-`groebner_basis` unpacks in descending order on each request, and no copy
-packed wider: when `_packed` chose a wider packing for a run,
-`IdealHandle._packed_basis` packs the entry again that wide for that run
+`groebner_basis` unpacks in descending order on each request, and no
+re-encoded copy: a run against the entry goes through
+`IdealHandle._against`, which hands it the entry itself when `_packed`
+chose the entry's packing, and otherwise, for wider fields or fresh first
+variables alike, a copy re-encoded in the run's packing for that run
 alone.  The handle also keeps the Hilbert numerator of its degrevlex
 leading-term ideal.  A cache entry is never mutated, nor are the dicts it
 holds, so concurrent readers are safe and concurrent first computations
@@ -177,7 +180,7 @@ class _Packing:
             return tuple(map(value.__and__, map(m.__rshift__, shifts)))
 
         self.arity, self.order = arity, order
-        self.bits, self.width, self.guard, self.neg = bits, width, guard, neg
+        self.bits, self.guard, self.neg = bits, guard, neg
         self.lcm, self.encode, self.decode = lcm, encode, decode
         self.key = lambda m: m - ((m & neg) << 1)
 
@@ -193,21 +196,20 @@ class _Packing:
 _packing = cache(_Packing)  # the one write-once memo: one packing per (arity, order, bits)
 
 
-def _packed(pk: _Packing, polys, run, power: int = 1):
-    """``(q, run(q))`` for the narrowest packing ``q`` of ``pk``'s arity and
-    order, at least as wide as ``pk``, whose exponents reach twice the largest
+def _packed(arity: int, order: TermOrder, polys, run, bits: int = 8, power: int = 1):
+    """``(q, run(q))`` for the narrowest packing ``q`` of ``arity`` and
+    ``order``, at least ``bits`` wide, whose exponents reach twice the largest
     degree in ``polys`` (exponent tuples) raised to ``power`` and whose fields
     can sum ``arity`` exponents; each `_Overflow` doubles the width and runs
-    ``run`` again, which computes the same result."""
-    bits = pk.bits
-    need = max([pk.arity] + [2 * power * max(map(sum, p), default=0) for p in polys])
+    ``run`` again, which computes the same result.  Every packed run starts
+    here, and no other code builds a packing."""
+    need = max([arity] + [2 * power * max(map(sum, p), default=0) for p in polys])
     while 1 << bits <= need:
         bits *= 2
     while True:
-        if bits != pk.bits:
-            pk = _packing(pk.arity, pk.order, bits)
+        q = _packing(arity, order, bits)
         try:
-            return pk, run(pk)
+            return q, run(q)
         except _Overflow:
             bits *= 2
 
@@ -448,44 +450,60 @@ class IdealHandle:
             seen.add(g)
             gens.append(g)
         self.generators: tuple[Polynomial, ...] = tuple(gens)
-        self._packed: dict[TermOrder, tuple[_Packing, list[tuple[int, dict]]]] = {}
+        self._bases: dict[TermOrder, tuple[_Packing, list[tuple[int, dict]]]] = {}
         self._numerator: tuple[int, ...] | None = None
 
     def groebner_basis(self, order: TermOrder = DEGREVLEX) -> tuple[Polynomial, ...]:
         pk, reducers = self._packed_basis(order)
         return tuple(Polynomial._make(self.ring, pk.unpack(p)) for _, p in reversed(reducers))
 
-    def _packed_basis(self, order: TermOrder, bits: int = 0
-                      ) -> tuple[_Packing, list[tuple[int, dict]]]:
-        """The packing and the reduced basis as ascending ``(lm, poly)`` reducers:
-        the cached entry, computed on first request, or, when ``bits`` is wider
-        than its packing, the entry packed again ``bits`` wide, which is not
-        stored."""
-        entry = self._packed.get(order)
+    def _packed_basis(self, order: TermOrder) -> tuple[_Packing, list[tuple[int, dict]]]:
+        """The cached entry of ``order``, computed on first request: the
+        packing and the reduced basis as ascending ``(lm, poly)`` reducers."""
+        entry = self._bases.get(order)
         if entry is None:
             field, gens = self.ring.field, self.generators
             entry = self._remember(order, *_packed(
-                _packing(self.ring.arity, order, 8), [g._terms for g in gens],
+                self.ring.arity, order, [g._terms for g in gens],
                 lambda q: _buchberger([q.pack(g._terms) for g in gens], q, field)))
-        pk, reducers = entry
-        if bits <= pk.bits:
-            return entry
-        q = _packing(pk.arity, order, bits)
-        decode, encode = pk.decode, q.encode
-        return q, [(encode(decode(lm)), {encode(decode(m)): c for m, c in p.items()})
-                   for lm, p in reducers]
+        return entry
 
     def _remember(self, order: TermOrder, pk: _Packing, reducers: list[tuple]) -> tuple:
         """Cache reducers and their packing as the one entry of ``order``; an
         entry already there is kept and returned."""
-        return self._packed.setdefault(order, (pk, reducers))
+        return self._bases.setdefault(order, (pk, reducers))
+
+    def _against(self, order: TermOrder, polys, run, power: int = 1, fresh: int = 0):
+        """``(q, run(q, reducers))`` against the cached basis of ``order``.
+
+        `_packed` picks ``q`` over this ring with ``fresh`` more variables in
+        front, at least as wide as the entry's packing, for ``polys`` raised
+        to ``power``.  When ``q`` is the entry's packing, ``reducers`` is the
+        entry's own list; otherwise it is a copy with each monomial m
+        re-encoded as ``q.encode((0,) * fresh + pk.decode(m))``, which is
+        not stored.  Wider fields keep every order, and prepended variables
+        keep the degrevlex order of monomials free of them, so over degrevlex
+        the copy is the entry's reduced basis, labels and all, in ``q``.
+        """
+        pk, reducers = self._packed_basis(order)
+        pad = (0,) * fresh
+
+        def against(q: _Packing):
+            if q is pk:
+                return run(q, reducers)
+            decode, encode = pk.decode, q.encode
+            return run(q, [(encode(pad + decode(lm)),
+                            {encode(pad + decode(m)): c for m, c in p.items()})
+                           for lm, p in reducers])
+
+        return _packed(pk.arity + fresh, order, polys, against, pk.bits, power)
 
     def _reduced(self, f: Polynomial, order: TermOrder, zero_test: bool) -> tuple[_Packing, dict]:
         if f.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
         field = self.ring.field
-        return _packed(self._packed_basis(order)[0], [f._terms], lambda q: _reduce_full(
-            q.pack(f._terms), self._packed_basis(order, q.bits)[1], q, field, zero_test))
+        return self._against(order, [f._terms], lambda q, reducers: _reduce_full(
+            q.pack(f._terms), reducers, q, field, zero_test))
 
     def normal_form(self, f: Polynomial, order: TermOrder = DEGREVLEX) -> Polynomial:
         q, r = self._reduced(f, order, False)
@@ -550,8 +568,8 @@ def ideal_member(f: Polynomial, I: IdealHandle) -> bool:
 
 def _rabinowitsch(ring: Ring, f: Polynomial) -> tuple[Ring, dict]:
     """The ring extended by a fresh first variable t, and 1 - t*f in it."""
-    ext = ring.extended([ring.fresh_name("t")])
-    return ext, (ext.one() - ext.variable(ext.variables[0]) * transport(f, ext))._terms
+    ext, t = ring.with_fresh_variable()
+    return ext, (ext.one() - t * transport(f, ext))._terms
 
 
 def _grown(H: IdealHandle, ring: Ring, seeds: list[dict]) -> tuple[_Packing, list[tuple]]:
@@ -559,23 +577,13 @@ def _grown(H: IdealHandle, ring: Ring, seeds: list[dict]) -> tuple[_Packing, lis
 
     ``ring`` is H's ring or that ring with fresh first variables, and
     ``seeds`` are exponent-tuple dicts over it.  Prepended variables leave
-    degrevlex comparisons of monomials free of them unchanged, and they take
-    the lowest degrevlex fields, so H's cached reducers, packed as wide as
-    the run's packing and shifted up one field per fresh variable, labels
-    with them, are still a reduced basis and start Buchberger as its known
-    basis.
+    degrevlex comparisons of monomials free of them unchanged, so H's cached
+    reducers, as `IdealHandle._against` hands them to a run over ``ring``,
+    are still a reduced basis and start Buchberger as its known basis.
     """
-    pk, _ = H._packed_basis(DEGREVLEX)
-    fresh = ring.arity - H.ring.arity
-
-    def run(q: _Packing) -> list[tuple]:
-        known = H._packed_basis(DEGREVLEX, q.bits)[1]
-        if fresh:
-            shift = fresh * q.width
-            known = [(lm << shift, {m << shift: c for m, c in p.items()}) for lm, p in known]
-        return _buchberger([q.pack(s) for s in seeds], q, ring.field, known)
-
-    return _packed(_packing(ring.arity, DEGREVLEX, pk.bits), seeds, run)
+    field = ring.field
+    return H._against(DEGREVLEX, seeds, lambda q, known: _buchberger(
+        [q.pack(s) for s in seeds], q, field, known), fresh=ring.arity - H.ring.arity)
 
 
 def _rabinowitsch_contains(I: IdealHandle, f: Polynomial) -> bool:
@@ -625,15 +633,14 @@ def _sweep(H: IdealHandle, pending: list[Polynomial]) -> tuple[list, list]:
     order, and the generators of ``pending`` it leaves open.
 
     Levels k = 1.._WITNESS_BOUND test g^k in H for every open g, by the zero
-    test against H's cached degrevlex reducers; the sweep ends after the
-    first level k > 1 that closes a generator, or once none is open.  Each
-    generator is packed once, wide enough for its power at the bound, and
-    its powers are multiplied packed.
+    test against H's cached degrevlex reducers as `IdealHandle._against`
+    hands them over; the sweep ends after the first level k > 1 that closes
+    a generator, or once none is open.  Each generator is packed once, wide
+    enough for its power at the bound, and its powers are multiplied packed.
     """
     field = H.ring.field
 
-    def run(q: _Packing) -> tuple[list, list]:
-        reducers = H._packed_basis(DEGREVLEX, q.bits)[1]
+    def run(q: _Packing, reducers: list[tuple]) -> tuple[list, list]:
         packed = [q.pack(g._terms) for g in pending]
         still = list(zip(pending, packed, packed))  # (g, g packed, g^k packed)
         links = []
@@ -651,8 +658,7 @@ def _sweep(H: IdealHandle, pending: list[Polynomial]) -> tuple[list, list]:
                 break
         return links, [g for g, _, _ in still]
 
-    return _packed(H._packed_basis(DEGREVLEX)[0], [g._terms for g in pending], run,
-                   _WITNESS_BOUND)[1]
+    return H._against(DEGREVLEX, [g._terms for g in pending], run, _WITNESS_BOUND)[1]
 
 
 def _radical_chain(gens, I: IdealHandle):
@@ -733,7 +739,7 @@ def _eliminated(ring: Ring, k: int, seeds: list[dict]) -> IdealHandle:
         _certify(packed, basis, q, field)
         return basis
 
-    pk, basis = _packed(_packing(ring.arity, block_order(k), 8), seeds, run)
+    pk, basis = _packed(ring.arity, block_order(k), seeds, run)
     rest = Ring(ring.variables[k:], field)
     return IdealHandle(rest, [Polynomial._make(rest, {m[k:]: c for m, c in p.items()})
                               for p in map(pk.unpack, (p for _, p in reversed(basis)))
@@ -769,8 +775,7 @@ def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     """Ideal intersection via the one-variable trick: eliminate t from t*I + (1-t)*J."""
     if I.ring != J.ring:
         raise RingMismatchError("ideals live in different rings")
-    ext = I.ring.extended([I.ring.fresh_name("t")])
-    t = ext.variable(ext.variables[0])
+    ext, t = I.ring.with_fresh_variable()
     return _eliminated(ext, 1, [(t * transport(g, ext))._terms for g in I.generators]
                        + [((ext.one() - t) * transport(g, ext))._terms for g in J.generators])
 
@@ -884,9 +889,8 @@ def certify_intersection(C: IdealHandle, A: IdealHandle, B: IdealHandle) -> bool
         lt_ab += [pk.decode(lm) for lm, _ in reducers]
     if _numerator_sum(c, _hilbert_numerator(lt_ab)) == target:
         field, gens = C.ring.field, [g._terms for g in C.generators]
-        C._remember(DEGREVLEX, *_packed(
-            _packing(C.ring.arity, DEGREVLEX, 8), gens,
-            lambda q: _interreduce([(max(p, key=q.key), p) for p in map(q.pack, gens)], q, field)))
+        C._remember(DEGREVLEX, *_packed(C.ring.arity, DEGREVLEX, gens, lambda q: _interreduce(
+            [(max(p, key=q.key), p) for p in map(q.pack, gens)], q, field)))
         if C._numerator is None:  # written once, like the basis cache
             C._numerator = c
         return True

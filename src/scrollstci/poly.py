@@ -268,17 +268,19 @@ class Ring:
     def monomial(self, exponents: Sequence[int], coeff=1) -> "Polynomial":
         return Polynomial(self, {tuple(exponents): coeff})
 
-    def fresh_name(self, stem: str = "t") -> str:
-        if stem not in self._index:  # type: ignore[attr-defined]
-            return stem
-        k = 0
-        while f"{stem}{k}" in self._index:  # type: ignore[attr-defined]
-            k += 1
-        return f"{stem}{k}"
+    def with_fresh_variable(self) -> tuple["Ring", "Polynomial"]:
+        """This ring with a fresh variable prepended, and that variable.
 
-    def extended(self, names: Sequence[str]) -> "Ring":
-        """Prepend ``names``: degrevlex then orders the old monomials as before."""
-        return Ring(tuple(names) + self.variables, self.field)
+        It is named ``t``, else the first of ``t0``, ``t1``, ... not taken.
+        The fresh variable comes first: each monomial of this ring keeps its
+        exponents behind a zero one, and degrevlex orders those monomials as
+        before.
+        """
+        name, k = "t", 0
+        while name in self._index:  # type: ignore[attr-defined]
+            name, k = f"t{k}", k + 1
+        ring = Ring((name,) + self.variables, self.field)
+        return ring, ring.variable(name)
 
     def to_json(self):
         return {"vars": list(self.variables), "field": self.field.to_json()}

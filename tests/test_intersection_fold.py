@@ -137,7 +137,7 @@ def test_full_ideal_refuses_exactly_the_validated_specs_the_fold_refutes(steps):
             assert False not in steps
             reference = IdealHandle(spec.ring, examples.presentation(spec))
             assert handle.generators == reference.generators
-            assert handle._packed  # the certified handle comes back with its basis
+            assert handle._bases  # the certified handle comes back with its basis
     assert set(refused) == NOT_THE_INTERSECTION
 
 

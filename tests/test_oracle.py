@@ -404,9 +404,12 @@ def test_extend_by_high_degree_polynomials_repacks_the_cached_basis_wider():
     assert grown.groebner_basis() == ideal(R3, *gens, *more).groebner_basis()
     assert I._packed_basis(DEGREVLEX)[0].bits == 8
     assert grown._packed_basis(DEGREVLEX)[0].bits > 8
-    # a wider packing is packed again for each run, and only the order's own entry is kept
-    assert I._packed_basis(DEGREVLEX, 16) == I._packed_basis(DEGREVLEX, 16)
-    assert set(I._packed) == {DEGREVLEX}
+    # a wider run gets its own copy of the entry packed that wide, and only
+    # the order's own entry is kept
+    (q, first), (_, second) = (I._against(DEGREVLEX, [{(200, 0, 0): 1}], lambda q, r: r)
+                               for _ in range(2))
+    assert q.bits == 16 and first == second and first is not second
+    assert set(I._bases) == {DEGREVLEX}
 
 
 def test_rabinowitsch_of_a_high_degree_polynomial_repacks_the_cached_basis_wider():
@@ -675,7 +678,7 @@ def test_saturate_contains_ideal_and_quotient_property():
 
 
 _R4 = Ring(("x1", "x2", "x3", "x4"))
-_R4T = _R4.extended(["t"])
+_R4T = _R4.with_fresh_variable()[0]
 _CURVE = ("x1*x3 - x2^2", "x2*x4 - x3^2")
 
 
@@ -718,7 +721,7 @@ def _assert_reducers(pk, reducers, field):
 
 def _entry(I):
     """A copy of I's degrevlex cache entry, coefficients in their key order."""
-    pk, reducers = I._packed[DEGREVLEX]
+    pk, reducers = I._bases[DEGREVLEX]
     return pk, [(lm, list(p.items())) for lm, p in reducers]
 
 
@@ -737,14 +740,41 @@ def test_a_grown_basis_is_ascending_reducers_and_leaves_the_known_one_as_it_was(
     entry = I._packed_basis(DEGREVLEX)
     before = _entry(I)
     grown = _extend(I, [parse(R3, "y*z - x")])
-    _assert_reducers(*grown._packed[DEGREVLEX], QQ)
-    # over the Rabinowitsch ring, as wide as I's entry and wider than it
+    _assert_reducers(*grown._bases[DEGREVLEX], QQ)
+    # over the Rabinowitsch ring, as wide as I's entry and wider than it: the
+    # basis of I's generators and 1 - t*f computed there from scratch
     for f in ("y + z", "x^200 - y"):
         ext, rab = oracle._rabinowitsch(R3, parse(R3, f))
         pk, reducers = oracle._grown(I, ext, [rab])
         assert pk.arity == 4 and len(reducers) >= 2
         _assert_reducers(pk, reducers, QQ)
-    assert I._packed[DEGREVLEX] is entry and _entry(I) == before
+        fresh = IdealHandle(ext, [transport(g, ext) for g in I.generators]
+                            + [Polynomial._make(ext, rab)])
+        q, want = fresh._packed_basis(DEGREVLEX)
+        assert [(pk.decode(lm), list(pk.unpack(p).items())) for lm, p in reducers] == \
+            [(q.decode(lm), list(q.unpack(p).items())) for lm, p in want]
+    assert I._bases[DEGREVLEX] is entry and _entry(I) == before
+
+
+def test_a_run_at_the_entrys_packing_reads_the_entry_itself(monkeypatch):
+    # the hot path of every membership test and every sweep of the chain:
+    # no copy of the cached reducers when the run's packing is the entry's
+    I, J = ideal(R3, *_SHAPE_GENS), ideal(R3, "x^3", "x*y - z^2")
+    pk, reducers = I._packed_basis(DEGREVLEX)
+    q, handed = I._against(DEGREVLEX, [parse(R3, "x^3*y")._terms], lambda q, r: r)
+    assert q is pk and handed is reducers
+    entries = (reducers, J._packed_basis(DEGREVLEX)[1])
+    real, seen = oracle._reduce_full, []
+
+    def recording(p, rs, *args):
+        seen.append(rs)
+        return real(p, rs, *args)
+
+    monkeypatch.setattr(oracle, "_reduce_full", recording)
+    assert I.contains(parse(R3, "x^3 - 2*x*y*z"))
+    assert not I.contains(parse(R3, "y"))
+    assert radical_member(parse(R3, "x"), J) == oracle.RadicalCertificate(True, 3)
+    assert len(seen) == 5 and all(any(rs is e for e in entries) for rs in seen)
 
 
 def test_the_bound_route_of_certify_intersection_caches_ascending_reducers(monkeypatch):
@@ -759,7 +789,7 @@ def test_the_bound_route_of_certify_intersection_caches_ascending_reducers(monke
     # x*y + x*z interreduces to x*y
     C = ideal(R3, "x*y + x*z", "x*z")
     assert certify_intersection(C, A, B)
-    pk, reducers = C._packed[DEGREVLEX]
+    pk, reducers = C._bases[DEGREVLEX]
     assert [pk.decode(lm) for lm, _ in reducers] == [(1, 0, 1), (1, 1, 0)]
     _assert_reducers(pk, reducers, QQ)
 
@@ -941,15 +971,11 @@ def test_time_limit_is_per_thread():
 # tuples under a `TermOrder`: pack, run packed at the width `oracle._packed`
 # picks, and unpack the result.
 
-def _narrowest(arity, order):
-    return oracle._packing(arity, order, 8)
-
-
 def _reduce_full(p, reducers, order, field, zero_test=False):
     if not p:
         return {}
     pk, r = oracle._packed(
-        _narrowest(len(next(iter(p))), order), [p] + [g for _, g in reducers],
+        len(next(iter(p))), order, [p] + [g for _, g in reducers],
         lambda q: oracle._reduce_full(q.pack(p), [(q.encode(lm), q.pack(g)) for lm, g in reducers],
                                       q, field, zero_test))
     return pk.unpack(r)
@@ -959,7 +985,7 @@ def _interreduce(pairs, order, field):
     if not pairs:
         return []
     pk, out = oracle._packed(
-        _narrowest(len(pairs[0][0]), order), [p for _, p in pairs],
+        len(pairs[0][0]), order, [p for _, p in pairs],
         lambda q: oracle._interreduce([(q.encode(lm), q.pack(p)) for lm, p in pairs], q, field))
     return [(pk.decode(lm), pk.unpack(p)) for lm, p in reversed(out)]
 
@@ -968,7 +994,7 @@ def _buchberger(seeds, arity, order, field, gb_prefix=0):
     """The kernel's basis in descending order; the first ``gb_prefix`` seeds
     are handed over as its known basis, labelled, in the order given."""
     pk, basis = oracle._packed(
-        _narrowest(arity, order), seeds,
+        arity, order, seeds,
         lambda q: oracle._buchberger(
             [q.pack(s) for s in seeds[gb_prefix:]], q, field,
             [(max(p, key=q.key), p) for p in map(q.pack, seeds[:gb_prefix])]))
@@ -1374,7 +1400,7 @@ def test_a_run_that_outgrows_its_packing_is_rerun_wider():
     R = Ring(("x", "y"))
     for order in (LEX, block_order(1)):
         seeds = [parse(R, g)._terms for g in ("x - y^100", "x^3")]
-        pk, _ = oracle._packed(_narrowest(2, order), seeds, lambda q: None)
+        pk, _ = oracle._packed(2, order, seeds, lambda q: None)
         assert pk.bits == 8
         basis = _buchberger(seeds, 2, order, QQ)
         assert [list(p.items()) for p in basis] == \

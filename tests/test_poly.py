@@ -109,6 +109,16 @@ def test_ring_mismatch_rejected():
         P("x") + P("x", R3)
 
 
+@pytest.mark.parametrize("names, fresh", [
+    (("x", "y"), "t"), (("t0", "x"), "t"), (("t", "x"), "t0"), (("x", "t0", "t"), "t1"),
+])
+def test_a_fresh_variable_takes_the_first_free_name_and_comes_first(names, fresh):
+    ring = Ring(names, Fp(7))
+    ext, t = ring.with_fresh_variable()
+    assert ext == Ring((fresh,) + names, Fp(7))
+    assert ext.variables[0] == fresh and t == ext.variable(fresh) and t.ring == ext
+
+
 # --- products ---------------------------------------------------------------
 
 def test_difference_of_squares():
