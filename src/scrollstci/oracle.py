@@ -84,12 +84,19 @@ re-encoded copy: a run against the entry goes through
 chose the entry's packing, and otherwise, for wider fields or fresh first
 variables alike, a copy re-encoded in the run's packing for that run
 alone.  The handle also keeps the Hilbert numerator of its degrevlex
-leading-term ideal.  A cache entry is never mutated, nor are the dicts it
-holds, so concurrent readers are safe and concurrent first computations
-merely duplicate work.  The only module-level state is the
-write-once memo of packings.  The deadline set by `time_limit`
-(see `poly`) lives in a context variable, so it bounds only the thread (or
-task) that set it: a new thread starts with no deadline.
+leading-term ideal in(I), written by `IdealHandle._remember` too: once by
+`hilbert_numerator`, or handed over by the bound route of
+`certify_intersection`, and kept if one is there already.  One method,
+`IdealHandle._leading_monomials`, reads in(I): the labels of the cached
+degrevlex entry as exponent tuples, its minimal generators, which
+`hilbert_numerator` and that bound route pass to the Hilbert recursion; no
+other code decodes a handle's basis for it.  A cache entry is never
+mutated, nor are the dicts it holds, so concurrent readers are safe and
+concurrent first computations merely duplicate work.  The only
+module-level state is the write-once memo of packings.  The deadline set
+by `time_limit` (see `poly`) lives in a context variable, so it bounds
+only the thread (or task) that set it: a new thread starts with no
+deadline.
 """
 
 from __future__ import annotations
@@ -468,10 +475,20 @@ class IdealHandle:
                 lambda q: _buchberger([q.pack(g._terms) for g in gens], q, field)))
         return entry
 
-    def _remember(self, order: TermOrder, pk: _Packing, reducers: list[tuple]) -> tuple:
-        """Cache reducers and their packing as the one entry of ``order``; an
-        entry already there is kept and returned."""
+    def _remember(self, order: TermOrder, pk: _Packing, reducers: list, numerator=None) -> tuple:
+        """Cache reducers and their packing as the one entry of ``order``, and
+        ``numerator`` as the handle's Hilbert numerator; an entry or numerator
+        already there is kept, and the entry is returned.  No other code
+        writes either cache."""
+        if self._numerator is None:
+            self._numerator = numerator
         return self._bases.setdefault(order, (pk, reducers))
+
+    def _leading_monomials(self) -> list[tuple]:
+        """The labels of the cached degrevlex entry as exponent tuples: the
+        minimal generators of in(I), which the Hilbert code reads."""
+        pk, reducers = self._packed_basis(DEGREVLEX)
+        return [pk.decode(lm) for lm, _ in reducers]
 
     def _against(self, order: TermOrder, polys, run, power: int = 1, fresh: int = 0):
         """``(q, run(q, reducers))`` against the cached basis of ``order``.
@@ -518,9 +535,8 @@ class IdealHandle:
     def hilbert_numerator(self) -> tuple[int, ...]:
         """N(T) with HS(S/LT(I)) = N(T)/(1-T)^n, LT taken in degrevlex."""
         if self._numerator is None:
-            # written once, like the basis cache: a second computation agrees
-            pk, reducers = self._packed_basis(DEGREVLEX)
-            self._numerator = _hilbert_numerator(pk.decode(lm) for lm, _ in reducers)
+            self._remember(DEGREVLEX, *self._packed_basis(DEGREVLEX),
+                           _hilbert_numerator(self._leading_monomials()))
         return self._numerator
 
     def to_json(self):
@@ -861,15 +877,17 @@ def certify_intersection(C: IdealHandle, A: IdealHandle, B: IdealHandle) -> bool
     0 -> S/(A ∩ B) -> S/A (+) S/B -> S/(A + B) -> 0.  A monomial ideal M
     inside LT(I) gives H_I <= H_M.  Two such bounds cost no Buchberger run:
     M_C, the degrevlex leading monomials of C's generators, and
-    M_AB = LT(A) + LT(B), read off the cached bases of A and B.
+    M_AB = LT(A) + LT(B), the leading monomials of A and of B as
+    `IdealHandle._leading_monomials` reads them off their cached bases.
     If N(M_C) + N(M_AB) = N(A) + N(B), then
     H_C <= H_{M_C} = H_A + H_B - H_{M_AB} <= H_{A∩B} <= H_C, so every step is
     an equality: C = A ∩ B, and LT(C) = M_C, so C's generators are a Groebner
-    basis and their interreduction is C's reduced basis, which C keeps with
-    N(M_C) as its numerator.  Otherwise the same identity is checked with
-    the exact leading-term ideals: C's basis is computed, and the basis of
-    A + B is grown from A's cached one.  Numerators A and B already carry
-    are not computed again.
+    basis and their interreduction is C's reduced basis; both go to
+    `IdealHandle._remember`, which keeps N(M_C) as C's numerator unless C
+    has one already, so no field of C is written here.  Otherwise the same
+    identity is checked with the exact leading-term ideals: C's basis is
+    computed, and the basis of A + B is grown from A's cached one.
+    Numerators A and B already carry are not computed again.
     """
     if not A.ring == B.ring == C.ring:
         raise RingMismatchError("ideals live in different rings")
@@ -883,16 +901,11 @@ def certify_intersection(C: IdealHandle, A: IdealHandle, B: IdealHandle) -> bool
 
     target = _numerator_sum(A.hilbert_numerator(), B.hilbert_numerator())
     c = _hilbert_numerator(g.leading_monomial() for g in C.generators)
-    lt_ab = []
-    for I in (A, B):
-        pk, reducers = I._packed_basis(DEGREVLEX)
-        lt_ab += [pk.decode(lm) for lm, _ in reducers]
+    lt_ab = A._leading_monomials() + B._leading_monomials()
     if _numerator_sum(c, _hilbert_numerator(lt_ab)) == target:
         field, gens = C.ring.field, [g._terms for g in C.generators]
         C._remember(DEGREVLEX, *_packed(C.ring.arity, DEGREVLEX, gens, lambda q: _interreduce(
-            [(max(p, key=q.key), p) for p in map(q.pack, gens)], q, field)))
-        if C._numerator is None:  # written once, like the basis cache
-            C._numerator = c
+            [(max(p, key=q.key), p) for p in map(q.pack, gens)], q, field)), c)
         return True
     ab = _extend(A, list(B.groebner_basis()))
     return _numerator_sum(C.hilbert_numerator(), ab.hilbert_numerator()) == target

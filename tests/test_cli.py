@@ -298,6 +298,17 @@ def test_verify(capsys):
     assert code == 1 and doc["status"] == "false"
 
 
+def test_verify_barile_list(capsys):
+    # three generators for Barile's example, where the summed bound says four
+    spec = str(FIXTURES_DIR / "example-barile.json")
+    gens_file = FIXTURES_DIR / "example-barile-generators.json"
+    code, doc = invoke(capsys, "verify", spec, "--gens-file", str(gens_file))
+    assert code == 0 and doc["payload"] == {"verified": True}
+    first_two = json.loads(gens_file.read_text())[:2]
+    code, doc = invoke(capsys, "verify", spec, "--gens", ";".join(first_two))
+    assert code == 1 and doc["payload"] == {"verified": False}
+
+
 def test_lattice(capsys):
     code, doc = invoke(capsys, "lattice", "--basis", "1,-2,1,0;0,1,-2,1")
     assert code == 0

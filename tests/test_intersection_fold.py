@@ -21,6 +21,7 @@ from scrollstci.linjoin import (
     validate,
 )
 from scrollstci.oracle import IdealHandle, intersect_many
+from scrollstci.synth import synthesize
 
 import worked_examples as examples
 from test_spec_outputs import RECORDED
@@ -118,6 +119,25 @@ def test_a_step_the_bounds_decide_leaves_the_candidates_own_basis(routes):
                 assert C.hilbert_numerator() == fresh.hilbert_numerator(), (name, field)
                 decided += 1
     assert decided
+
+
+def test_the_fold_hands_each_proved_candidate_its_numerator(monkeypatch):
+    # the bound route's N(M_C) becomes the certified handle's numerator, so
+    # the next step reads it instead of recomputing it from a basis
+    runs = {"_hilbert_numerator": 0, "_buchberger": 0}
+    for name in runs:
+        real = getattr(oracle, name)
+
+        def counted(*args, _real=real, _name=name):
+            runs[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(oracle, name, counted)
+    full_ideal(examples.spec("example-curve-1"))
+    assert runs == {"_hilbert_numerator": 10, "_buchberger": 4}
+    runs.update(dict.fromkeys(runs, 0))
+    synthesize(examples.spec("example-curve-1"))
+    assert runs == {"_hilbert_numerator": 11, "_buchberger": 6}
 
 
 def test_full_ideal_refuses_exactly_the_validated_specs_the_fold_refutes(steps):

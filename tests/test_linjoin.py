@@ -451,13 +451,16 @@ def test_fixture_files_round_trip():
     shipped = {p.name: p.read_text() for p in FIXTURES_DIR.glob("*.json")}
     assert sorted(shipped) == sorted(
         [f"{name}.json" for name in examples.SPECS]
-        + ["example-qprime-generators.json", "example-twisted-cubic.json"])
-    assert len(shipped) == 11
+        + ["example-qprime-generators.json", "example-barile-generators.json",
+           "example-twisted-cubic.json"])
+    assert len(shipped) == 12
     for name in examples.SPECS:
         text = json.dumps(examples.spec(name).to_json(), indent=2) + "\n"
         assert shipped[f"{name}.json"] == text, name
     gens = [str(g) for g in examples.qprime_generators()]
     assert shipped["example-qprime-generators.json"] == json.dumps(gens, indent=2) + "\n"
+    gens = [str(g) for g in examples.barile_generators()]
+    assert shipped["example-barile-generators.json"] == json.dumps(gens, indent=2) + "\n"
     basis = [list(v) for v in examples.twisted_cubic_basis().vectors]
     assert shipped["example-twisted-cubic.json"] == json.dumps(basis) + "\n"
     # one member of each family is shipped

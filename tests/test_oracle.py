@@ -794,6 +794,26 @@ def test_the_bound_route_of_certify_intersection_caches_ascending_reducers(monke
     _assert_reducers(pk, reducers, QQ)
 
 
+@pytest.mark.parametrize("field", [QQ, Fp(101)], ids=str)
+def test_the_leading_monomials_are_the_minimal_generators_of_the_leading_term_ideal(field):
+    ring = Ring(R3.variables, field)
+    I = ideal(ring, *_SHAPE_GENS)
+    lts = {g.leading_monomial() for g in I.groebner_basis()}
+    minimal = {m for m in lts if not any(n != m and mono_divides(n, m) for n in lts)}
+    monomials = I._leading_monomials()
+    assert len(monomials) == len(minimal) >= 3 and set(monomials) == minimal
+    assert I.hilbert_numerator() == _hilbert_numerator(minimal)
+
+
+def test_remember_keeps_a_numerator_already_set():
+    C = ideal(R3, "x*y", "x*z")
+    numerator = C.hilbert_numerator()
+    entry = C._bases[DEGREVLEX]
+    assert C._remember(DEGREVLEX, *entry, (1, 2, 3)) is entry
+    assert C.hilbert_numerator() is numerator
+    assert numerator == (1, 0, -2, 1)
+
+
 _ELIMINATING = [
     lambda: saturate(ideal(_R4, *_CURVE), parse(_R4, "x1*x2*x3*x4")),
     lambda: intersect(ideal(_R4, *_CURVE), ideal(_R4, "x1 - x4", "x2*x3 - x4^2")),

@@ -51,6 +51,13 @@ def qprime_generators() -> list:
     return [parse(ring, text) for text in _load("example-qprime-generators")]
 
 
+def barile_generators() -> list:
+    """The qprime generators at g = 0, of ``example-barile-generators.json``,
+    in the Barile ring."""
+    ring = spec("example-barile").ring
+    return [parse(ring, text) for text in _load("example-barile-generators")]
+
+
 def twisted_cubic_basis() -> LatticeBasis:
     return LatticeBasis(_load("example-twisted-cubic"))
 
